@@ -1,9 +1,9 @@
 """Setup shim.
 
 All metadata lives in ``pyproject.toml``; this file only exists so that
-``pip install -e . --no-build-isolation`` works on offline machines whose
-setuptools lacks the ``wheel`` package required by PEP 660 editable builds
-(pip then falls back to the legacy ``setup.py develop`` route).
+``python setup.py develop`` still gives an editable install on offline
+machines whose setuptools lacks the ``wheel`` package that
+``pip install -e . --no-build-isolation`` (a PEP 660 editable build) needs.
 """
 
 from setuptools import setup

@@ -40,10 +40,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro import telemetry
+from repro.exceptions import ReproError
 
 from repro.experiments.broadcast_sweep import broadcast_sweep_table
 from repro.experiments.fig4 import fig4_table
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sandwich.add_argument(
         "--unroll-periods",
-        type=int,
+        type=_positive,
         default=3,
         help="periods to unroll when building delay digraphs (default 3)",
     )
@@ -142,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser(
         "search", help="synthesized schedules vs. certified bounds per topology"
     )
-    search.add_argument("--seed", type=int, default=0, help="search RNG seed (default 0)")
+    search.add_argument("--seed", type=_natural, default=0, help="search RNG seed (default 0)")
     search.add_argument(
         "--iterations",
-        type=int,
+        type=_positive,
         default=150,
         help="local-search proposals per driver run (default 150)",
     )
@@ -154,24 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="synthesize a systolic schedule for one instance and certify its gap",
     )
-    optimize.add_argument(
-        "--family",
-        choices=sorted(OPTIMIZE_FAMILIES),
-        required=True,
-        help="topology family to build the instance from",
-    )
-    optimize.add_argument(
-        "--size",
-        required=True,
-        help="instance size: one integer (cycle/path/complete/hypercube) or "
-        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 12 or 4x4",
-    )
-    optimize.add_argument(
-        "--mode",
-        choices=("half-duplex", "full-duplex"),
-        default="half-duplex",
-        help="communication mode (default half-duplex)",
-    )
+    _add_instance_flags(optimize)
     optimize.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -184,30 +169,30 @@ def build_parser() -> argparse.ArgumentParser:
         default="gossip_rounds",
         help="score to minimise (default gossip_rounds)",
     )
-    optimize.add_argument("--seed", type=int, default=0, help="search RNG seed (default 0)")
+    optimize.add_argument("--seed", type=_natural, default=0, help="search RNG seed (default 0)")
     optimize.add_argument(
         "--iterations",
-        type=int,
+        type=_positive,
         default=300,
         help="local-search proposals per driver run (default 300)",
     )
     optimize.add_argument(
         "--restarts",
-        type=int,
+        type=_natural,
         default=1,
         help="extra passes restarted from the best state: annealing reheats, "
         "or repeated hill-climb walks (default 1)",
     )
     optimize.add_argument(
         "--fault-p",
-        type=float,
+        type=_probability,
         default=0.1,
         help="Bernoulli call-failure probability behind the "
         "robust_gossip_rounds objective (default 0.1; ignored otherwise)",
     )
     optimize.add_argument(
         "--fault-trials",
-        type=int,
+        type=_positive,
         default=8,
         help="fault trials per candidate for the robust_gossip_rounds "
         "objective (default 8; ignored otherwise)",
@@ -221,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument(
         "--workers",
-        type=int,
+        type=_positive,
         default=None,
         metavar="N",
         help="run the multi-process island search with N worker processes "
@@ -234,24 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "robustness",
         help="Monte-Carlo fault-injection analysis of one instance's schedule",
     )
-    robustness.add_argument(
-        "--family",
-        choices=sorted(OPTIMIZE_FAMILIES),
-        required=True,
-        help="topology family to build the instance from",
-    )
-    robustness.add_argument(
-        "--size",
-        required=True,
-        help="instance size: one integer (cycle/path/complete/hypercube) or "
-        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 64 or 4x4",
-    )
-    robustness.add_argument(
-        "--mode",
-        choices=("half-duplex", "full-duplex"),
-        default="half-duplex",
-        help="communication mode (default half-duplex)",
-    )
+    _add_instance_flags(robustness)
     robustness.add_argument(
         "--model",
         choices=FAULT_MODELS,
@@ -260,28 +228,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     robustness.add_argument(
         "--p",
-        type=float,
+        type=_probability,
         default=0.1,
         help="per-call failure probability for --model bernoulli (default 0.1)",
     )
     robustness.add_argument(
         "--k",
-        type=int,
+        type=_natural,
         default=1,
         help="crashed vertices (crash) or deleted activations per period "
         "(adversarial); default 1",
     )
     robustness.add_argument(
         "--trials",
-        type=int,
+        type=_positive,
         default=200,
         help="Monte-Carlo trials (default 200; adversarial analysis is "
         "deterministic and ignores this)",
     )
-    robustness.add_argument("--seed", type=int, default=0, help="fault RNG seed (default 0)")
+    robustness.add_argument("--seed", type=_natural, default=0, help="fault RNG seed (default 0)")
     robustness.add_argument(
         "--max-rounds",
-        type=int,
+        type=_positive,
         default=None,
         help="per-trial round budget (default: 3x the fault-free gossip time)",
     )
@@ -306,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--last",
-        type=int,
+        type=_positive,
         default=5,
         help="recorded runs to show per section (default 5)",
     )
@@ -323,6 +291,48 @@ def build_parser() -> argparse.ArgumentParser:
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
     return parser
+
+
+def _bounded(cast: type, low: float, high: float, what: str) -> Callable[[str], float]:
+    """An argparse type: ``cast(text)`` within ``[low, high]``, else a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _bounded(int, 1, math.inf, "a positive integer")
+_natural = _bounded(int, 0, math.inf, "a non-negative integer")
+_probability = _bounded(float, 0.0, 1.0, "a probability in [0, 1]")
+
+
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    """``--family``/``--size``/``--mode``: the instance ``_build_instance`` resolves."""
+    parser.add_argument(
+        "--family",
+        choices=sorted(OPTIMIZE_FAMILIES),
+        required=True,
+        help="topology family to build the instance from",
+    )
+    parser.add_argument(
+        "--size",
+        required=True,
+        help="instance size: one integer (cycle/path/complete/hypercube) or "
+        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 12 or 4x4",
+    )
+    parser.add_argument(
+        "--mode",
+        choices=("half-duplex", "full-duplex"),
+        default="half-duplex",
+        help="communication mode (default half-duplex)",
+    )
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
@@ -566,7 +576,7 @@ def _run_report(args: argparse.Namespace) -> int:
     from repro.telemetry.regress import analyze_ledger
 
     try:
-        with Ledger(args.ledger) as ledger:
+        with Ledger(args.ledger, read_only=True) as ledger:
             sections = (
                 [args.section] if args.section is not None else ledger.sections()
             )
@@ -574,7 +584,7 @@ def _run_report(args: argparse.Namespace) -> int:
                 print(f"ledger {ledger.path}: no recorded runs yet")
                 return 0
             for name in sections:
-                rows = ledger.runs(section=name, last=max(0, args.last))
+                rows = ledger.runs(section=name, last=args.last)
                 if not rows:
                     print(f"section {name}: no recorded runs")
                     continue
@@ -605,7 +615,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     from repro.telemetry.regress import COUNTER_THRESHOLD
 
     try:
-        with Ledger(args.ledger) as ledger:
+        with Ledger(args.ledger, read_only=True) as ledger:
             known = ledger.revisions()
             for rev in (args.rev1, args.rev2):
                 if rev not in known:
@@ -691,11 +701,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         recorder = None
 
-    if recorder is None:
-        return _dispatch(args)
-    with recorder, telemetry.recording(recorder):
-        with telemetry.span("cli.command", command=args.command):
-            code = _dispatch(args)
+    # A library error is bad input, not a crash: one line and exit code 2.
+    try:
+        if recorder is None:
+            return _dispatch(args)
+        with recorder, telemetry.recording(recorder):
+            with telemetry.span("cli.command", command=args.command):
+                code = _dispatch(args)
+    except ReproError as exc:
+        print(f"repro-gossip: error: {exc}", file=sys.stderr)
+        return 2
     if wants_metrics and recorder.stats is not None:
         print(recorder.stats.format_table())
     return code

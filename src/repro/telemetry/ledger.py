@@ -38,6 +38,7 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 from repro.telemetry.core import Histogram
@@ -124,19 +125,30 @@ class Ledger:
 
     ``Ledger(path)`` creates the parent directory and the database on
     demand, switches it to WAL journalling, and migrates the schema to
-    :data:`SCHEMA_VERSION` — so the very first ``report`` after a fresh
-    clone sees a valid (empty) ledger instead of an error.
+    :data:`SCHEMA_VERSION`.  ``read_only=True`` never writes: an existing
+    file is opened read-only and a missing one reads as an empty in-memory
+    ledger, so ``report`` after a fresh clone creates nothing.
     """
 
-    def __init__(self, path: str | None = None) -> None:
+    def __init__(self, path: str | None = None, *, read_only: bool = False) -> None:
         self.path = ledger_path(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._migrate()
+        if read_only and not os.path.exists(self.path):
+            self._conn = sqlite3.connect(":memory:")
+        elif read_only:
+            # No -wal file: all pages are in the main file; immutable=1 adds no -wal/-shm.
+            immutable = "" if os.path.exists(self.path + "-wal") else "&immutable=1"
+            uri = f"{Path(self.path).absolute().as_uri()}?mode=ro{immutable}"
+            self._conn = sqlite3.connect(uri, uri=True)
+        else:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._conn = sqlite3.connect(self.path)
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        try:
+            self._conn.execute("PRAGMA foreign_keys=ON")
+            self._migrate()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise LedgerError(f"cannot use ledger {self.path}: {exc}") from None
 
     # ------------------------------------------------------------------ #
     def _migrate(self) -> None:

@@ -317,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             rows, window=args.window, timing_threshold=args.threshold
         )
     else:
-        with Ledger(args.ledger) as ledger:
+        with Ledger(args.ledger, read_only=True) as ledger:
             findings = analyze_ledger(
                 ledger, window=args.window, timing_threshold=args.threshold
             )

@@ -376,3 +376,39 @@ def test_cli_compare(tmp_path, capsys):
     assert "work: 100 -> 300" in out
     assert _cli(["compare", "aaa", "nosuch", "--ledger", db]) == 1
     assert "nosuch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report"], ["compare", "aaa", "bbb"]], ids=["report", "compare"])
+def test_cli_read_only_commands_never_create_the_ledger(tmp_path, capsys, argv):
+    db = tmp_path / "missing" / "ledger.db"
+    _cli([*argv, "--ledger", str(db)])
+    captured = capsys.readouterr()
+    assert "no recorded runs" in captured.out + captured.err
+    assert not db.exists()
+    assert not db.parent.exists()
+
+
+def test_cli_report_leaves_an_existing_ledger_untouched(tmp_path, capsys):
+    db = tmp_path / "ledger.db"
+    with Ledger(str(db)) as ledger:
+        record_entry(ledger, _entry("2026-08-01", "a"), "a")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    content = db.read_bytes()
+    assert _cli(["report", "--ledger", str(db)]) == 0
+    assert "section bench" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert db.read_bytes() == content
+
+
+def test_read_only_ledger_refuses_writes_and_reports_bad_files(tmp_path):
+    db = tmp_path / "ledger.db"
+    with Ledger(str(db)) as ledger:
+        record_entry(ledger, _entry("2026-08-01", "a"), "a")
+    with Ledger(str(db), read_only=True) as ledger:
+        assert ledger.sections() == ["bench"]
+        with pytest.raises(sqlite3.OperationalError):
+            record_entry(ledger, _entry("2026-08-02", "b"), "b")
+    junk = tmp_path / "junk.db"
+    junk.write_bytes(b"not a database" * 100)
+    with pytest.raises(LedgerError):
+        Ledger(str(junk), read_only=True)
