@@ -370,10 +370,10 @@ def _parse_size(family: str, size: str) -> tuple[int, ...]:
     try:
         values = tuple(int(p) for p in parts if p != "")
     except ValueError:
-        raise SystemExit(f"invalid --size {size!r}: expected integers") from None
+        raise ReproError(f"invalid --size {size!r}: expected integers") from None
     expected, _ = OPTIMIZE_FAMILIES[family]
     if len(values) != expected:
-        raise SystemExit(
+        raise ReproError(
             f"family {family!r} expects {expected} size value(s), got {len(values)} "
             f"from --size {size!r}"
         )
@@ -389,7 +389,7 @@ def _build_instance(args: argparse.Namespace):
     try:
         graph = builder(*_parse_size(args.family, args.size))
     except TopologyError as exc:
-        raise SystemExit(f"invalid --size {args.size!r} for {args.family}: {exc}") from None
+        raise TopologyError(f"invalid --size {args.size!r} for {args.family}: {exc}") from None
     mode = Mode.FULL_DUPLEX if args.mode == "full-duplex" else Mode.HALF_DUPLEX
     return graph, mode
 

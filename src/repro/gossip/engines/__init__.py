@@ -18,6 +18,10 @@ Four backends ship with the library:
   production time and a dense-path fallback above a tunable active
   fraction.
 
+All four run through one shared driver,
+:class:`~repro.gossip.engines.checkpoint.EngineRun`, and differ only in
+state layout, slot compilation, round loop and delta accounting.
+
 Selection
 ---------
 Every simulation entry point (:func:`repro.gossip.simulation.simulate` and
@@ -107,30 +111,40 @@ Every backend self-reports through :mod:`repro.telemetry` when a recorder
 is active (``--trace PATH`` / ``REPRO_TRACE`` stream JSONL; ``--metrics``
 prints the in-memory roll-up; both install a recorder around the run).
 With the default ``NullRecorder`` the whole layer costs one context-variable
-read per run — counters are accumulated as plain local ints behind a single
-``enabled`` check and flushed once at run end, never per-slot.
+read per run — counters are plain local ints, flushed once at run end by
+the shared driver (:meth:`~repro.gossip.engines.checkpoint.EngineRun.finish`),
+never per-slot.
 
-Counter vocabulary (component ``engine.<name>``):
+Counter vocabulary (component ``engine.<name>``).  Each engine declares its
+counter names once, as its ``counter_names`` class attribute, and the
+driver flushes exactly those keys (``tests/test_telemetry_counters.py``
+holds code, declarations and this list together):
 
-* ``runs`` — engine invocations;
-* ``rounds_simulated`` — rounds actually executed by the loop;
-* ``rounds_synthesized`` — rounds *not* executed because a sparse engine
-  proved a fixed point (its ``idle >= s`` early exit) and synthesized the
-  remainder;
+* ``runs`` — engine invocations (every engine);
+* ``rounds_simulated`` — rounds actually executed by the loop (every
+  engine);
+* ``slots_fired`` — non-empty rounds applied (reference);
+* ``batches`` / ``replayed_rounds`` — the doubling batches and
+  post-completion replay rounds of the untracked fast path (vectorized);
+* ``rounds_synthesized`` — rounds *not* executed because the engine proved
+  a fixed point (its ``idle >= s`` early exit) and synthesized the
+  remainder (frontier, hybrid);
+* ``early_exit_round`` — the round at which the fixed point was detected,
+  0 when the run never early-exited (frontier, hybrid);
 * ``slots_fired_sparse`` / ``slots_fired_dense`` — slot firings by path
-  (for the frontier engine "dense" means first firings; for the hybrid
-  engine it means over-threshold fallbacks are counted separately in
-  ``dense_fallbacks``);
+  (frontier, hybrid; "dense" means first firings, plus over-threshold
+  fallbacks, which the hybrid engine also counts in ``dense_fallbacks``);
 * ``window_elements_routed`` — sparse-path routing volume: (vertex, item)
   pairs for the frontier engine, pending window words for the hybrid one;
-* ``early_exit_round`` — the round at which the fixed point was detected
-  (0 when the run never early-exited);
-* ``batches`` / ``replayed_rounds`` — the vectorized kernel's doubling
-  batches and post-completion replay rounds.
+* ``pairs_delivered`` — (vertex, item) pairs learned during the run
+  (frontier);
+* ``dense_fallbacks`` — sparse-capable firings whose window exceeded the
+  dense threshold (hybrid).
 
 Each run also records an ``engine.run`` span (wall time, attributed to the
-enclosing CLI/search span) and attaches a
-:class:`repro.telemetry.RunStats` to ``SimulationResult.run_stats``.
+enclosing CLI/search span), an ``engine.<name>.rounds`` histogram of
+``rounds_simulated``, and attaches a :class:`repro.telemetry.RunStats` to
+``SimulationResult.run_stats``.
 Engine *resolution* emits an ``engine.resolve`` event carrying the resolved
 name, the source (``explicit`` / ``env`` / ``auto-program`` / ``auto-bare``)
 and — for workload-aware picks — the rationale string from
@@ -141,17 +155,27 @@ bit-identical to telemetry-off runs for every registered backend.
 
 Adding a fifth backend
 ----------------------
-Implement the :class:`~repro.gossip.engines.base.SimulationEngine` protocol
-(a ``name`` attribute plus a ``run(program, ...)`` method returning a
-:class:`~repro.gossip.engines.base.SimulationResult`), then call
-:func:`register_engine`.  Run ``tests/test_engines_differential.py`` and
-the randomized fuzz suite ``tests/test_engines_fuzz.py`` with your engine
-registered to certify bit-for-bit agreement with the reference engine —
-both suites iterate over the registry, so new backends get coverage for
-free; implement ``run_checkpointed`` (see
-:class:`~repro.gossip.engines.checkpoint.CheckpointableEngine`) and
-``tests/test_engines_resume.py`` certifies the resume contract the same
-way.
+The minimum is the :class:`~repro.gossip.engines.base.SimulationEngine`
+protocol (a ``name`` attribute plus a ``run(program, ...)`` method
+returning a :class:`~repro.gossip.engines.base.SimulationResult`) and a
+:func:`register_engine` call.  To get checkpoint/resume, telemetry and
+result assembly for free, subclass
+:class:`~repro.gossip.engines.checkpoint.CheckpointingMixin` (which
+provides ``run``, ``checkpoint`` and ``resume``) and write only
+``run_checkpointed``: build an
+:class:`~repro.gossip.engines.checkpoint.EngineRun` from the options, pack
+its canonical ``start`` rows into your layout, seed tracking from its
+canonical seeds (``history``, ``item_rounds``, ``arrival_matrix()``), run
+your round loop — calling ``run.capture`` when a round equals
+``run.due`` and ``run.fixed_point`` if you can prove a fixed point — and
+return ``run.finish(...)`` with an ``export`` callable that yields
+canonical knowledge rows and arrivals, plus your own counters (declare
+their names in ``counter_names``).  Run ``tests/test_engines_differential.py``,
+the randomized fuzz suite ``tests/test_engines_fuzz.py`` and
+``tests/test_engines_resume.py`` with your engine registered to certify
+bit-for-bit agreement with the reference engine and the resume contract —
+all three iterate over the registry, so new backends get coverage for
+free.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ integers and expand packed words into bit coordinates, and
 :class:`HeadGroups` / :func:`dense_apply_grouped` hold the one copy of the
 head-grouped gather/``reduceat``/diff slot core (whose snapshot-semantics
 subtleties — gather every tail row before any head row is written — live
-here once).  Any future packed-bitset backend should build on these rather
-than reaching into another engine's internals.
+here once); :func:`compiled_slots` and :func:`tail_filter_groups` are the
+shared per-slot compile cache and pre-split window grouping.  Any future
+packed-bitset backend should build on these rather than reaching into
+another engine's internals.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "numpy_available",
     "packed_width",
     "pack_int",
+    "pack_rows",
     "unpack_words",
     "unpack_rows",
     "popcount_total",
@@ -39,6 +42,8 @@ __all__ = [
     "HeadGroups",
     "compile_head_groups",
     "dense_apply_grouped",
+    "tail_filter_groups",
+    "compiled_slots",
 ]
 
 WORD_BITS = 64
@@ -76,6 +81,12 @@ def packed_width(n: int, target: int, start: list[int]) -> int:
 def pack_int(value: int, words: int) -> np.ndarray:
     """Pack a non-negative Python integer into ``words`` little-endian uint64s."""
     return np.frombuffer(value.to_bytes(words * WORD_BYTES, "little"), dtype="<u8").copy()
+
+
+def pack_rows(values, words: int) -> np.ndarray:
+    """Pack Python integers into a writable ``(len(values), words)`` matrix."""
+    data = bytearray(b"".join(v.to_bytes(words * WORD_BYTES, "little") for v in values))
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
 def unpack_words(row: np.ndarray) -> int:
@@ -226,3 +237,60 @@ def expand_delta_words(words: np.ndarray, word_cols: np.ndarray) -> tuple[np.nda
     bits = (words[:, None] & BIT_LUT[None, :]) != 0
     elements, offsets = np.nonzero(bits)
     return elements, word_cols[elements] * WORD_BITS + offsets
+
+
+def tail_filter_groups(masks) -> list[tuple[np.ndarray | None, list[int]]]:
+    """Group slot indices by identical tail masks for pre-split windows.
+
+    ``masks[k]`` is slot ``k``'s boolean is-a-tail vector, or ``None`` for a
+    slot that never takes a sparse window.  Returns ``[(mask, members),
+    ...]`` with ``mask`` ``None`` when it is all-``True`` (every produced
+    delta entry is relevant, no filter needed).  Grouping means each round's
+    delta pays one boolean gather per *distinct* tail set instead of one
+    per slot; members share the filtered array by reference.
+    """
+    groups: list[tuple[np.ndarray | None, list[int]]] = []
+    by_key: dict[bytes, int] = {}
+    for k, mask in enumerate(masks):
+        if mask is None:
+            continue
+        key = mask.tobytes()
+        gi = by_key.get(key)
+        if gi is None:
+            gi = by_key[key] = len(groups)
+            groups.append((None if mask.all() else mask, []))
+        groups[gi][1].append(k)
+    return groups
+
+
+#: Compiled-slot caches are cleared past this size so a long search walk
+#: cannot grow one without bound (distinct rounds accumulate with every
+#: insert/mutate move).
+SLOT_CACHE_LIMIT = 4096
+
+
+def compiled_slots(rounds, compile_slot, slot_cache: dict | None, anchor=None) -> list:
+    """``compile_slot(arcs)`` per round, memoized in ``slot_cache`` when given.
+
+    The cache is keyed by round *identity* — ``make_round`` interns rounds,
+    so one search walk sees the same tuple objects over and over, and the
+    identity key avoids re-hashing a whole arc tuple per slot per run.  A
+    compilation that also depends on another round (the vectorized
+    kernel's row order is a function of the first non-empty round) passes
+    it as ``anchor``, which joins the key.  Each entry holds strong
+    references to its round and anchor, which keeps their ids stable for
+    the entry's lifetime.  The dict is opaque to callers and must not be
+    shared across graphs or engines.
+    """
+    if slot_cache is None:
+        return [compile_slot(arcs) for arcs in rounds]
+    slots = []
+    for arcs in rounds:
+        key = (id(arcs), id(anchor))
+        entry = slot_cache.get(key)
+        if entry is None:
+            if len(slot_cache) >= SLOT_CACHE_LIMIT:
+                slot_cache.clear()
+            entry = slot_cache[key] = (arcs, anchor, compile_slot(arcs))
+        slots.append(entry[2])
+    return slots

@@ -19,10 +19,9 @@ Correctness of frontier-only transmission
 Sending only last round's news over an arc would be wrong in general: an arc
 that fires every ``s`` rounds must forward everything its tail learned since
 the arc *last* fired.  For a cyclic program with period ``s`` each round slot
-fires exactly every ``s`` rounds, so the engine keeps a ring of the last
-``s`` per-round delta chunks; the window a slot sees at round ``i`` is the
-deltas of rounds ``i-s … i-1`` — precisely what its tails learned since the
-slot's previous firing.  Inductively the head already holds everything the
+fires exactly every ``s`` rounds, so the window a slot sees at round ``i``
+is the deltas of rounds ``i-s … i-1`` — precisely what its tails learned
+since the slot's previous firing.  Inductively the head already holds everything the
 tail knew before that window (delivered at the previous firing), so
 offering only window pairs reproduces full-knowledge transmission
 bit-for-bit.  The first firing of each slot (rounds ``1 … s``), and every
@@ -40,21 +39,19 @@ O(s · n²) pair operations regardless of how many rounds the schedule needs.
 
 Pre-split pending windows
 -------------------------
-By default the window a slot consumes is not reassembled from a ring of the
-last ``s`` delta chunks and then re-filtered by the slot's tail test — that
-rescan touches every window pair once per slot firing, and on schedules
-whose rounds activate disjoint tail sets (grids, colourings) most of those
-pairs are routed nowhere.  Instead each round's delta is split *at
-production time*: slots are grouped by identical tail masks (one boolean
-gather per distinct mask, not per slot; an all-``True`` mask skips the
-filter entirely), and the filtered chunk is appended to every member slot's
+The window a slot consumes is not reassembled from a ring of the last ``s``
+delta chunks and then re-filtered by the slot's tail test — that rescan
+would touch every window pair once per slot firing, and on schedules whose
+rounds activate disjoint tail sets (grids, colourings) most of those pairs
+are routed nowhere.  Instead each round's delta is split *at production
+time*: slots are grouped by identical tail masks (one boolean gather per
+distinct mask, not per slot; an all-``True`` mask skips the filter
+entirely), and the filtered chunk is appended to every member slot's
 pending list.  A firing slot concatenates and clears its own pending list —
-pairs already known to be its tails, so the sparse apply skips the keep
-filter (``prefiltered=True``).  Pending lists are consumed at *every*
-firing, including the dense first firings, whose full-knowledge
-transmission supersedes anything pending.  Constructing the engine with
-``presplit_windows=False`` restores the legacy ring-rescan path
-(bit-identical results; kept for differential tests and benchmarks).
+pairs already known to be its tails, so the sparse apply needs no keep
+filter.  Pending lists are consumed at *every* firing, including the dense
+first firings, whose full-knowledge transmission supersedes anything
+pending.
 
 When a full period passes without any new pair the knowledge state is a
 fixed point (every future window is empty), so the engine stops early and
@@ -68,16 +65,16 @@ The engine implements the checkpoint/resume protocol
 (:mod:`repro.gossip.engines.checkpoint`).  A resumed run at round ``r``
 is treated exactly like a program start: the first firing of each slot
 after ``r`` (rounds ``r+1 … r+s``) takes the dense full-knowledge path —
-there is no pre-resume delta window to build on — and the ring thereafter
-holds only post-resume deltas, so the window induction never references
-history the resumed run has not seen.  That is what makes resume bit-exact
+there is no pre-resume delta window to build on — and the pending windows
+thereafter hold only post-resume deltas, so the window induction never
+references history the resumed run has not seen.  That is what makes resume bit-exact
 for *any* program suffix, which incremental schedule search relies on.
 All incremental counters are recomputed from the snapshot (the union of
 knowledge bits is time-invariant, so derived constants like the
 reachable-bit set match the cold run's).
 
 ``run_checkpointed`` additionally accepts ``slot_cache``, a caller-owned
-``dict`` memoizing compiled round slots by their arc tuple.  Slot
+``dict`` memoizing compiled round slots by round identity.  Slot
 compilation dominates per-candidate cost on long periods, so a search walk
 passing one shared cache per (graph, engine) pays it only for rounds it
 has never seen.  The cache must not be shared across graphs.
@@ -85,8 +82,6 @@ has never seen.  The cache must not be shared across graphs.
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from functools import reduce
 from operator import or_
 
@@ -95,34 +90,22 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment]
 
-from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-)
-from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
-    CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
-)
+from repro.gossip.engines.base import RoundProgram
+from repro.gossip.engines.checkpoint import CheckpointedRun, CheckpointingMixin, EngineRun
 from repro.gossip.engines._bitops import (
     BIT_LUT as _BIT_LUT,
     WORD_MASK as _WORD_MASK,
     WORD_SHIFT as _WORD_SHIFT,
     compile_head_groups as _compile_head_groups,
+    compiled_slots as _compiled_slots,
     dense_apply_grouped as _dense_apply_grouped,
     numpy_available,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     set_bit_positions as _set_bit_positions,
+    tail_filter_groups as _tail_filter_groups,
     unpack_rows as _unpack_rows,
 )
 from repro.topologies.base import Digraph
@@ -137,7 +120,8 @@ class _Slot:
     :class:`~repro.gossip.engines._bitops.HeadGroups`, for full knowledge
     transmission on a slot's first firing) and the sparse-apply layout (a
     tail→head routing table for matchings, a CSR expansion otherwise) used
-    to route frontier pairs.
+    to route frontier pairs, plus the ``is_tail`` mask that pre-splits
+    produced deltas into the slot's pending window.
     """
 
     __slots__ = (
@@ -164,10 +148,12 @@ def _compile_slot(graph: Digraph, arcs, n: int) -> _Slot:
     index = graph.index
     tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
     heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
+    slot.is_tail = np.zeros(n, dtype=bool)
+    slot.is_tail[tails] = True
 
     # Sparse layout.  For a matching (each tail sends to one head) a single
-    # routing table folds the is-a-tail test and the head lookup into one
-    # gather: route[v] is the head of v's arc, or -1 when v sends nothing.
+    # routing table maps a window vertex straight to its head: route[v] is
+    # the head of v's arc.  Otherwise a CSR expansion over the sorted tails.
     torder = np.argsort(tails, kind="stable")
     t_sorted = tails[torder]
     slot.h_by_t = heads[torder]
@@ -177,8 +163,6 @@ def _compile_slot(graph: Digraph, arcs, n: int) -> _Slot:
         slot.route = np.full(n, -1, dtype=np.int64)
         slot.route[t_sorted] = slot.h_by_t
     else:
-        slot.is_tail = np.zeros(n, dtype=bool)
-        slot.is_tail[tails] = True
         slot.t_starts = t_starts
         slot.t_counts = np.diff(np.append(t_starts, m))
     return slot
@@ -211,46 +195,29 @@ def _sparse_apply(
     window_v: np.ndarray,
     window_j: np.ndarray,
     bit_capacity: int,
-    prefiltered: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frontier transmission for one slot, returning the delta pairs.
 
-    ``window_v``/``window_j`` are the (vertex, item) pairs learned in the
-    last ``s`` rounds; pairs are routed through the slot's arcs and only
-    bits the head does not already hold survive.  ``prefiltered`` promises
-    every ``window_v`` entry is a tail of this slot (the pre-split pending
-    path), so the keep filter is skipped.
+    ``window_v``/``window_j`` are the (vertex, item) pairs the slot's tails
+    learned since its previous firing (its pre-split pending window, so
+    every ``window_v`` entry is a tail of this slot); pairs are routed
+    through the slot's arcs and only bits the head does not already hold
+    survive.
     """
-    if slot.m == 0 or window_v.size == 0:
+    if window_v.size == 0:
         return _empty_delta()
     if slot.single:
         h = slot.route[window_v]
-        if prefiltered:
-            j = window_j
-        else:
-            keep = h >= 0
-            h = h[keep]
-            j = window_j[keep]
-            if h.size == 0:
-                return _empty_delta()
+        j = window_j
     else:
-        if prefiltered:
-            v = window_v
-            j = window_j
-        else:
-            keep = slot.is_tail[window_v]
-            v = window_v[keep]
-            if v.size == 0:
-                return _empty_delta()
-            j = window_j[keep]
-        pos = np.searchsorted(slot.utails, v)
+        pos = np.searchsorted(slot.utails, window_v)
         counts = slot.t_counts[pos]
         starts = slot.t_starts[pos]
         total = int(counts.sum())
         out_starts = np.cumsum(counts) - counts
         idx_arcs = np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
         h = slot.h_by_t[idx_arcs]
-        j = np.repeat(j, counts)
+        j = np.repeat(window_j, counts)
 
     idx = h * words + (j >> _WORD_SHIFT)
     bit = _BIT_LUT[j & _WORD_MASK]
@@ -276,61 +243,6 @@ def _sparse_apply(
     return h_new, j_new
 
 
-def _tail_filter_groups(slots, n):
-    """Group slot indices by identical tail masks for pre-split distribution.
-
-    Returns ``[(mask, members), ...]`` where ``mask`` is the boolean
-    is-a-tail vector shared by every slot index in ``members``, or ``None``
-    when that mask is all-``True`` (every produced pair is relevant — no
-    filter needed).  Grouping means each round's delta pays one boolean
-    gather per *distinct* mask instead of one per slot.
-    """
-    groups: list[tuple[np.ndarray | None, list[int]]] = []
-    by_key: dict[bytes, int] = {}
-    for k, slot in enumerate(slots):
-        if slot.m == 0:
-            mask = np.zeros(n, dtype=bool)
-        elif slot.single:
-            mask = slot.route >= 0
-        else:
-            mask = slot.is_tail
-        key = mask.tobytes()
-        gi = by_key.get(key)
-        if gi is None:
-            gi = by_key[key] = len(groups)
-            groups.append((None if mask.all() else mask, []))
-        groups[gi][1].append(k)
-    return groups
-
-
-#: Compiled-slot caches are cleared past this size so a long search walk
-#: cannot grow one without bound (distinct rounds accumulate with every
-#: insert/mutate move).
-_SLOT_CACHE_LIMIT = 4096
-
-
-def _compiled_slots(graph, rounds, n, slot_cache):
-    """Per-round compiled slots, memoized in ``slot_cache`` when given.
-
-    The cache is keyed by round *identity* — ``make_round`` interns rounds,
-    so one search walk sees the same tuple objects over and over, and the
-    identity key avoids re-hashing a whole arc tuple per slot per run.  The
-    entry keeps a strong reference to its round, which is what makes the
-    ``id`` stable for the entry's lifetime.  The dict is opaque to callers.
-    """
-    if slot_cache is None:
-        return [_compile_slot(graph, arcs, n) for arcs in rounds]
-    slots = []
-    for arcs in rounds:
-        entry = slot_cache.get(id(arcs))
-        if entry is None:
-            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
-                slot_cache.clear()
-            entry = slot_cache[id(arcs)] = (arcs, _compile_slot(graph, arcs, n))
-        slots.append(entry[1])
-    return slots
-
-
 class FrontierEngine(CheckpointingMixin):
     """Sparse frontier propagation over the packed ``uint64`` bitset matrix.
 
@@ -343,83 +255,29 @@ class FrontierEngine(CheckpointingMixin):
     """
 
     name = "frontier"
-
-    def __init__(self, *, presplit_windows: bool = True) -> None:
-        #: Distribute each round's delta into per-slot pending lists at
-        #: production time (see the module docstring).  ``False`` keeps the
-        #: legacy ring-of-deltas window rescan; both paths are bit-exact.
-        self.presplit_windows = presplit_windows
-
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
+    counter_names = (
+        "runs",
+        "rounds_simulated",
+        "rounds_synthesized",
+        "slots_fired_sparse",
+        "slots_fired_dense",
+        "window_elements_routed",
+        "pairs_delivered",
+        "early_exit_round",
+    )
 
     def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
+        self, program: RoundProgram, *, slot_cache: dict | None = None, **options
     ) -> CheckpointedRun:
+        """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
         if not numpy_available():  # pragma: no cover - numpy is a hard dep today
             raise SimulationError("the frontier engine requires NumPy >= 2.0")
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _sparse_fired = _dense_fired = _routed = 0
-        _early_exit = _synthesized = 0
-
+        run = EngineRun(self, program, **options)
         graph = program.graph
-        n = graph.n
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            start = list(state.knowledge)
-            base = state.round
-        else:
-            start = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(start, n)
-        full = full_mask(n) if target_mask is None else target_mask
-
+        n, full, start = run.n, run.full, run.start
         words = _packed_width(n, full, start)
         bit_capacity = words * 64
-        knowledge = np.empty((n, words), dtype=np.uint64)
-        for i, value in enumerate(start):
-            knowledge[i] = _pack_int(value, words)
+        knowledge = _pack_rows(start, words)
         flat_knowledge = knowledge.reshape(-1)
         mask_words = _pack_int(full, words)
 
@@ -436,156 +294,69 @@ class FrontierEngine(CheckpointingMixin):
         items_only = possible_bits < (1 << n)
         target_pop = full.bit_count()
         target_total = n * target_pop
-        mask_total = sum(int(v & full).bit_count() for v in start)
-        coverage = sum(int(v).bit_count() for v in start)
+        mask_total = sum((v & full).bit_count() for v in start)
+        coverage = coverage0 = sum(v.bit_count() for v in start)
 
-        item_rounds: np.ndarray | None = None
+        history, item_rounds = run.history, run.item_rounds
+        track_history = run.track_history
         item_count: np.ndarray | None = None
-        arrivals: np.ndarray | None = None
-        if track_item_completion or track_arrivals:
-            init_rows, init_cols = _set_bit_positions(knowledge)
-            init_vertex_items = init_cols < n
-            if track_item_completion:
-                item_count = np.bincount(init_cols[init_vertex_items], minlength=n)
-                item_rounds = np.full(n, -1, dtype=np.int64)
-                if state is not None:
-                    for j, r in enumerate(state.item_completion):
-                        if r is not None:
-                            item_rounds[j] = r
-                else:
-                    item_rounds[item_count == n] = 0
-            if track_arrivals:
-                arrivals = np.full((n, n), -1, dtype=np.int64)
-                if state is not None:
-                    for v, row in enumerate(state.arrivals):
-                        for j, r in enumerate(row):
-                            if r is not None:
-                                arrivals[v, j] = r
-                else:
-                    arrivals[
-                        init_rows[init_vertex_items], init_cols[init_vertex_items]
-                    ] = 0
+        if item_rounds is not None:
+            _, init_cols = _set_bit_positions(knowledge)
+            item_count = np.bincount(init_cols[init_cols < n], minlength=n)
+        arrivals = run.arrival_matrix() if run.track_arrivals else None
 
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(coverage)
-
-        slots = _compiled_slots(graph, program.rounds, n, slot_cache)
+        slots = _compiled_slots(
+            program.rounds, lambda arcs: _compile_slot(graph, arcs, n), slot_cache
+        )
         s = len(slots)
         cyclic = program.cyclic
 
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
+        def export():
+            return _unpack_rows(knowledge), arrivals
 
-        def capture(round_number: int, completion: int | None) -> None:
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=_unpack_rows(knowledge),
-                    completion_round=completion,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=(
-                        tuple(history[: round_number + 1]) if track_history else None
-                    ),
-                    item_completion=None
-                    if item_rounds is None
-                    else tuple(
-                        int(x) if x >= 0 else None for x in item_rounds.tolist()
-                    ),
-                    arrivals=None
-                    if arrivals is None
-                    else encode_arrivals(arrivals.tolist()),
-                    engine_name=self.name,
-                )
-            )
-
-        if state is not None:
-            completion: int | None = state.completion_round
-        else:
-            completion = 0 if mask_total == target_total else None
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(base, completion)
-            ci += 1
-
-        executed = base
-        _coverage0 = coverage
+        run.start_capture(export)
+        completion = run.completion
+        executed = run.base
+        sparse_fired = dense_fired = routed = 0
         if completion is None:
-            # Window bookkeeping for cyclic programs — one of two layouts.
-            # Pre-split (default): per-slot pending lists filled at delta
-            # production time, consumed (and cleared) at every firing.
-            # Legacy: a ring of the last s per-round delta chunks the firing
-            # slot re-filters.  After a resume both start empty, so the
-            # first s post-resume rounds take the dense path (see the module
+            # Pre-split windows (cyclic programs): per-slot pending lists
+            # filled at delta production time, consumed (and cleared) at
+            # every firing.  After a resume they start empty, so the first s
+            # post-resume rounds take the dense path (see the module
             # docstring's resume section).
-            presplit = self.presplit_windows and cyclic and s > 0
-            ring: deque[tuple[np.ndarray, np.ndarray]] | None = (
-                deque(maxlen=s) if cyclic and not presplit else None
+            filter_groups = _tail_filter_groups(
+                [slot.is_tail if cyclic and slot.m else None for slot in slots]
             )
-            if presplit:
-                filter_groups = _tail_filter_groups(slots, n)
-                pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
-                pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
+            pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
+            pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
             idle = 0
-            for i in range(base + 1, program.max_rounds + 1):
+            for i in range(run.base + 1, program.max_rounds + 1):
                 if s == 0:
                     h_new, j_new = _empty_delta()
-                elif cyclic and i > base + s:
-                    k = (i - 1) % s
-                    if presplit:
-                        parts_v = pending_v[k]
+                else:
+                    k = (i - 1) % s if cyclic else i - 1
+                    parts_v, parts_j = pending_v[k], pending_j[k]
+                    pending_v[k], pending_j[k] = [], []
+                    if cyclic and i > run.base + s:
                         if len(parts_v) == 1:
-                            window_v, window_j = parts_v[0], pending_j[k][0]
+                            window_v, window_j = parts_v[0], parts_j[0]
                         elif parts_v:
                             window_v = np.concatenate(parts_v)
-                            window_j = np.concatenate(pending_j[k])
+                            window_j = np.concatenate(parts_j)
                         else:
                             window_v, window_j = _empty_delta()
-                        pending_v[k] = []
-                        pending_j[k] = []
-                        if _telem:
-                            _sparse_fired += 1
-                            _routed += window_v.size
+                        sparse_fired += 1
+                        routed += window_v.size
                         h_new, j_new = _sparse_apply(
-                            flat_knowledge, words, slots[k],
-                            window_v, window_j, bit_capacity,
-                            prefiltered=True,
+                            flat_knowledge, words, slots[k], window_v, window_j, bit_capacity
                         )
                     else:
-                        parts = [c for c in ring if c[0].size]
-                        if len(parts) == 1:
-                            window_v, window_j = parts[0]
-                        elif parts:
-                            window_v = np.concatenate([c[0] for c in parts])
-                            window_j = np.concatenate([c[1] for c in parts])
-                        else:
-                            window_v, window_j = _empty_delta()
-                        if _telem:
-                            _sparse_fired += 1
-                            _routed += window_v.size
-                        h_new, j_new = _sparse_apply(
-                            flat_knowledge, words, slots[k],
-                            window_v, window_j, bit_capacity,
-                        )
-                else:
-                    # First firing of this slot (or a finite program, where
-                    # every firing is the first): no previous delivery to
-                    # build on, transmit full knowledge.  The full matrix
-                    # supersedes anything pending for the slot — consume it.
-                    slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
-                    if presplit:
-                        k = (i - 1) % s
-                        pending_v[k] = []
-                        pending_j[k] = []
-                    if _telem:
-                        _dense_fired += 1
-                    h_new, j_new = _dense_apply(knowledge, slot)
+                        # First firing of this slot (or a finite program,
+                        # where every firing is the first): no previous
+                        # delivery to build on, transmit full knowledge —
+                        # which supersedes the consumed pending window.
+                        dense_fired += 1
+                        h_new, j_new = _dense_apply(knowledge, slots[k])
                 executed = i
 
                 fresh = h_new.size
@@ -608,90 +379,51 @@ class FrontierEngine(CheckpointingMixin):
                             jm = j_new[vertex_items]
                         if item_count is not None and jm.size:
                             item_count += np.bincount(jm, minlength=n)
-                            item_rounds[jm[item_count[jm] == n]] = i
+                            done = jm[item_count[jm] == n]
+                            if done.size:
+                                for j in set(done.tolist()):
+                                    item_rounds[j] = i
                         if arrivals is not None:
                             arrivals[hm, jm] = i
+                    # Split this round's delta by destination slot now, so
+                    # firings never rescan pairs routed nowhere.  One boolean
+                    # gather per distinct tail mask; chunks are shared by
+                    # reference across a group's members.
+                    for mask, members in filter_groups:
+                        if mask is None:
+                            fv, fj = h_new, j_new
+                        else:
+                            keep = mask[h_new]
+                            fv = h_new[keep]
+                            if fv.size == 0:
+                                continue
+                            fj = j_new[keep]
+                        for k in members:
+                            pending_v[k].append(fv)
+                            pending_j[k].append(fj)
                 else:
                     idle += 1
 
-                if presplit:
-                    if fresh:
-                        # Split this round's delta by destination slot now, so
-                        # firings never rescan pairs routed nowhere.  One
-                        # boolean gather per distinct tail mask; chunks are
-                        # shared by reference across a group's members.
-                        for mask, members in filter_groups:
-                            if mask is None:
-                                fv, fj = h_new, j_new
-                            else:
-                                keep = mask[h_new]
-                                fv = h_new[keep]
-                                if fv.size == 0:
-                                    continue
-                                fj = j_new[keep]
-                            for k in members:
-                                pending_v[k].append(fv)
-                                pending_j[k].append(fj)
-                elif ring is not None:
-                    ring.append((h_new, j_new))
                 if track_history:
                     history.append(coverage)
-                if ci < len(wanted) and wanted[ci] == i:
-                    capture(i, completion)
-                    ci += 1
+                if i == run.due:
+                    run.capture(i, completion, export)
                 if completion is not None:
                     break
                 if cyclic and idle >= s and i < program.max_rounds:
                     # A full period without news: every future window is
-                    # empty, so knowledge is a fixed point.  Synthesize the
-                    # remaining no-op rounds instead of executing them; the
-                    # result is indistinguishable from running them out —
-                    # including the checkpoint states, which are captured
-                    # from the (frozen) matrix for every remaining wanted
-                    # round inside the budget.
-                    if _telem:
-                        _early_exit = i
-                        _synthesized = program.max_rounds - i
-                    if track_history:
-                        history.extend([coverage] * (program.max_rounds - i))
-                    executed = program.max_rounds
-                    while ci < len(wanted) and wanted[ci] <= program.max_rounds:
-                        capture(wanted[ci], None)
-                        ci += 1
+                    # empty, so knowledge is a fixed point.
+                    executed = run.fixed_point(i, export)
                     break
 
-        run_stats = None
-        if _telem:
-            counts = {
-                "runs": 1,
-                "rounds_simulated": executed - base - _synthesized,
-                "rounds_synthesized": _synthesized,
-                "slots_fired_sparse": _sparse_fired,
-                "slots_fired_dense": _dense_fired,
-                "window_elements_routed": _routed,
-                "pairs_delivered": coverage - _coverage0,
-                "early_exit_round": _early_exit,
-            }
-            _rec.counters("engine.frontier", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.frontier.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.frontier", counts)
-            run_stats.add_histogram("engine.frontier.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=_unpack_rows(knowledge),
-            coverage_history=tuple(history),
-            item_completion_rounds=None
-            if item_rounds is None
-            else tuple(int(x) if x >= 0 else None for x in item_rounds.tolist()),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals),
-            engine_name=self.name,
-            run_stats=run_stats,
+        return run.finish(
+            executed,
+            completion,
+            export,
+            {
+                "slots_fired_sparse": sparse_fired,
+                "slots_fired_dense": dense_fired,
+                "window_elements_routed": routed,
+                "pairs_delivered": coverage - coverage0,
+            },
         )
-        return CheckpointedRun(result, tuple(captured))

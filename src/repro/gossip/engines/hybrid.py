@@ -37,10 +37,10 @@ Active-word windows, pre-split at production time
 -------------------------------------------------
 For a cyclic program with period ``s`` each round slot fires every ``s``
 rounds and must forward everything its tails learned since its previous
-firing.  The frontier engine keeps a ring of the last ``s`` per-round deltas
-and rescans the whole window at every firing — the ROADMAP-flagged ``s×``
-multiplier.  This engine eliminates the rescan by *pre-splitting at
-production time*: the moment a round produces its delta (the flat word
+firing.  Rather than rescanning a ring of the last ``s`` per-round deltas
+at every firing (an ``s×`` multiplier), this engine — like the frontier
+engine — *pre-splits at production time*: the moment a round produces its
+delta (the flat word
 coordinates it changed, one deduplicated key array — ``int32`` whenever
 ``n·W < 2³¹``, halving the window sort/concat bandwidth), the delta is
 filtered down to each slot's *tail rows* — slots sharing a tail set (the
@@ -99,20 +99,6 @@ granularity.  When a full period passes without any new word the state is a
 fixed point and the remaining rounds are synthesized bit-exactly, as in the
 frontier engine.
 
-Batched completion
-------------------
-On a plain run (no tracking flags) whose target mask covers every reachable
-bit, the only per-round accounting left is the popcount of each round's
-word delta feeding the incremental completion counter — ~15% of the sparse
-path.  ``batched_completion=True`` skips it: under a covering mask,
-completion means every vertex holds every reachable bit, after which no
-round can produce news — so the completion round *is* the last round that
-produced news, and one total-popcount check when the run goes quiet (at the
-fixed-point exit or the budget end) recovers it exactly.  The mode is
-metamorphic — results are bit-identical to per-round accounting (the test
-suite pins this) — and silently inactive whenever the gate (cyclic program,
-no tracking, covering mask, non-empty target) does not hold.
-
 Checkpoint/resume
 -----------------
 The engine implements the checkpoint/resume protocol
@@ -126,13 +112,11 @@ captured in the canonical (unpermuted) encoding, so states are portable
 across engines regardless of the internal BFS bit permutation; all
 incremental counters are recomputed from the snapshot.  ``run_checkpointed``
 accepts the same caller-owned ``slot_cache`` dict as the frontier engine
-(keyed by arc tuple, not shareable across graphs).
+(keyed by round identity, not shareable across graphs).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace as _replace
 from functools import reduce
 from operator import or_
 
@@ -141,34 +125,22 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment]
 
-from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-)
+from repro.gossip.engines.base import RoundProgram
 from repro.gossip.engines._bitops import (
     compile_head_groups as _compile_head_groups,
+    compiled_slots as _compiled_slots,
     dense_apply_grouped as _dense_apply_grouped,
-    numpy_available,
     expand_delta_words as _expand_delta_words,
+    numpy_available,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     set_bit_positions as _set_bit_positions,
+    tail_filter_groups as _tail_filter_groups,
     unpack_rows as _unpack_rows,
 )
-from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
-    CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
-)
+from repro.gossip.engines.checkpoint import CheckpointedRun, CheckpointingMixin, EngineRun
 from repro.gossip.engines.layout import (
     bfs_item_positions as _bfs_item_positions,
     gather_bit_columns as _gather_bit_columns,
@@ -237,32 +209,6 @@ def _dedup_sorted(parts: list[np.ndarray]) -> np.ndarray:
     return merged[keep]
 
 
-#: Compiled-slot caches are cleared past this size so a long search walk
-#: cannot grow one without bound (distinct rounds accumulate with every
-#: insert/mutate move).
-_SLOT_CACHE_LIMIT = 4096
-
-
-def _compiled_slots(graph, rounds, n, slot_cache):
-    """Per-round compiled slots, memoized in ``slot_cache`` when given.
-
-    Identity-keyed for the same reason as the frontier engine's cache: the
-    interned round tuples a search walk reuses make ``id`` both a stable
-    and a much cheaper key than hashing the arc tuple itself.
-    """
-    if slot_cache is None:
-        return [_compile_slot(graph, arcs, n) for arcs in rounds]
-    slots = []
-    for arcs in rounds:
-        entry = slot_cache.get(id(arcs))
-        if entry is None:
-            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
-                slot_cache.clear()
-            entry = slot_cache[id(arcs)] = (arcs, _compile_slot(graph, arcs, n))
-        slots.append(entry[1])
-    return slots
-
-
 class HybridEngine(CheckpointingMixin):
     """Frontier-guided active-word lists over the packed dense matrix.
 
@@ -270,92 +216,37 @@ class HybridEngine(CheckpointingMixin):
     matrix above which a firing takes the dense full-knowledge path instead
     of the active-word gather/scatter (``0.0`` = always dense, ``1.0`` =
     sparse up to a full-matrix-sized window); see the module docstring for
-    the crossover rationale.  ``batched_completion`` skips per-round gained
-    counting on plain covering-mask runs and recovers the completion round
-    from the last news round (bit-identical by the quiet-tail argument in
-    the module docstring).  Supports the checkpoint/resume protocol.
+    the crossover rationale.  Supports the checkpoint/resume protocol.
     """
 
     name = "hybrid"
+    counter_names = (
+        "runs",
+        "rounds_simulated",
+        "rounds_synthesized",
+        "slots_fired_sparse",
+        "slots_fired_dense",
+        "dense_fallbacks",
+        "window_elements_routed",
+        "early_exit_round",
+    )
 
-    def __init__(
-        self,
-        *,
-        dense_threshold: float = _DEFAULT_DENSE_THRESHOLD,
-        batched_completion: bool = False,
-    ) -> None:
+    def __init__(self, *, dense_threshold: float = _DEFAULT_DENSE_THRESHOLD) -> None:
         if not 0.0 <= dense_threshold <= 1.0:
             raise SimulationError(
                 f"dense_threshold must be within [0, 1], got {dense_threshold!r}"
             )
         self._dense_threshold = dense_threshold
-        self._batched_completion = bool(batched_completion)
-
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
 
     def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
+        self, program: RoundProgram, *, slot_cache: dict | None = None, **options
     ) -> CheckpointedRun:
+        """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
         if not numpy_available():  # pragma: no cover - numpy is a hard dep today
             raise SimulationError("the hybrid engine requires NumPy >= 2.0")
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _sparse_fired = _dense_fired = _dense_fallbacks = _routed = 0
-        _simulated = _early_exit = _synthesized = 0
-
+        run = EngineRun(self, program, **options)
         graph = program.graph
-        n = graph.n
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            start = list(state.knowledge)
-            base = state.round
-        else:
-            start = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(start, n)
-        full = full_mask(n) if target_mask is None else target_mask
-
+        n, full, start = run.n, run.full, run.start
         words = _packed_width(n, full, start)
         total_words = n * words
         # Pending-window keys are flat word indices in [0, n·W); store them
@@ -363,7 +254,9 @@ class HybridEngine(CheckpointingMixin):
         # bandwidth of the window dedup (they are upcast once per firing,
         # after the dedup, for the routing arithmetic and flat indexing).
         key_dtype = np.int32 if total_words < 2**31 else np.int64
-        slots = _compiled_slots(graph, program.rounds, n, slot_cache)
+        slots = _compiled_slots(
+            program.rounds, lambda arcs: _compile_slot(graph, arcs, n), slot_cache
+        )
         s = len(slots)
         cyclic = program.cyclic
         dense_cutoff = self._dense_threshold * total_words
@@ -390,20 +283,18 @@ class HybridEngine(CheckpointingMixin):
             inv_pos = np.arange(words * 64, dtype=np.int64)
             inv_pos[pos] = np.arange(n, dtype=np.int64)
 
-        knowledge = np.empty((n, words), dtype=np.uint64)
-        if initial is None and state is None:
+        if run.default_start:
             # The paper's initial state is the identity matrix: place each
             # vertex's own bit directly (in permuted position when relabeled).
-            knowledge[:] = 0
+            knowledge = np.zeros((n, words), dtype=np.uint64)
             bit = pos if pos is not None else np.arange(n, dtype=np.int64)
             knowledge[np.arange(n), bit // 64] = np.uint64(1) << (bit % 64).astype(
                 np.uint64
             )
         else:
-            for i, value in enumerate(start):
-                knowledge[i] = _pack_int(value, words)
+            knowledge = _pack_rows(start, words)
             if pos is not None:
-                knowledge[:] = _gather_bit_columns(knowledge, inv_pos)
+                knowledge = _gather_bit_columns(knowledge, inv_pos)
         flat = knowledge.reshape(-1)
         mask_words = _pack_int(full, words)
         if pos is not None:
@@ -422,44 +313,19 @@ class HybridEngine(CheckpointingMixin):
         items_only = possible_bits < (1 << n)
         target_pop = full.bit_count()
         target_total = n * target_pop
-        mask_total = sum(int(v & full).bit_count() for v in start)
-        coverage = sum(int(v).bit_count() for v in start)
+        mask_total = sum((v & full).bit_count() for v in start)
+        coverage = coverage0 = sum(v.bit_count() for v in start)
 
-        item_rounds: np.ndarray | None = None
+        history, item_rounds = run.history, run.item_rounds
+        track_history = run.track_history
         item_count: np.ndarray | None = None
-        arrivals: np.ndarray | None = None
-        if track_item_completion or track_arrivals:
-            init_rows, init_cols = _set_bit_positions(knowledge)
-            vertex_items = init_cols < n
-            init_rows, init_cols = init_rows[vertex_items], init_cols[vertex_items]
+        if item_rounds is not None:
+            _, init_cols = _set_bit_positions(knowledge)
+            init_cols = init_cols[init_cols < n]
             if inv_pos is not None:
                 init_cols = inv_pos[init_cols]
-            if track_item_completion:
-                item_count = np.bincount(init_cols, minlength=n)
-                item_rounds = np.full(n, -1, dtype=np.int64)
-                if state is not None:
-                    for j, r in enumerate(state.item_completion):
-                        if r is not None:
-                            item_rounds[j] = r
-                else:
-                    item_rounds[item_count == n] = 0
-            if track_arrivals:
-                arrivals = np.full((n, n), -1, dtype=np.int64)
-                if state is not None:
-                    for v, row in enumerate(state.arrivals):
-                        for j, r in enumerate(row):
-                            if r is not None:
-                                arrivals[v, j] = r
-                else:
-                    arrivals[init_rows, init_cols] = 0
-
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(coverage)
-
+            item_count = np.bincount(init_cols, minlength=n)
+        arrivals = run.arrival_matrix() if run.track_arrivals else None
         track_items = item_count is not None or arrivals is not None
         # Flat (key, word) coordinates are only materialised on dense-path
         # firings when something consumes them: a pending sparse window, a
@@ -471,80 +337,24 @@ class HybridEngine(CheckpointingMixin):
         if pos is not None:
             out_colmap = np.concatenate([pos, np.arange(n, words * 64, dtype=np.int64)])
 
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
-
-        def capture(round_number: int, completion: int | None) -> None:
+        def export():
             rows = knowledge if pos is None else _gather_bit_columns(knowledge, out_colmap)
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=_unpack_rows(rows),
-                    completion_round=completion,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=(
-                        tuple(history[: round_number + 1]) if track_history else None
-                    ),
-                    item_completion=None
-                    if item_rounds is None
-                    else tuple(
-                        int(x) if x >= 0 else None for x in item_rounds.tolist()
-                    ),
-                    arrivals=None
-                    if arrivals is None
-                    else encode_arrivals(arrivals.tolist()),
-                    engine_name=self.name,
-                )
-            )
+            return _unpack_rows(rows), arrivals
 
-        if state is not None:
-            completion: int | None = state.completion_round
-        else:
-            completion = 0 if mask_total == target_total else None
-        # Batched completion: legitimate only when completion is the sole
-        # per-round consumer of the word deltas (no tracking) and the target
-        # mask covers every reachable bit, so that completion implies a
-        # quiet tail and the completion round equals the last news round.
-        batched = (
-            self._batched_completion
-            and cyclic
-            and s > 0
-            and not (track_history or track_item_completion or track_arrivals)
-            and mask_covers_all
-            and target_pop > 0
-        )
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(base, completion)
-            ci += 1
-
-        executed = base
+        run.start_capture(export)
+        completion = run.completion
+        executed = run.base
+        sparse_fired = dense_fired = dense_fallbacks = routed = 0
         if completion is None:
             # Tail masks let production pre-filter each delta down to the
             # words a slot can actually forward (its tails' rows) — the
             # (n,)-sized masks and row routes stay cache-resident, unlike a
-            # flat n·W word-route table.  ``None`` marks a slot whose tails
-            # cover every row (no filtering needed).  Slots sharing the same
-            # tail set (e.g. the two directions of one colour class) are
-            # grouped so each distinct filter runs once per round.
-            filter_groups: list[tuple[np.ndarray | None, list[int]]] = []
-            by_mask: dict[bytes | None, int] = {}
-            for k, ok in enumerate(sparse_ok):
-                if not ok:
-                    continue
-                mask = slots[k].route >= 0
-                key_bytes: bytes | None = None if mask.all() else mask.tobytes()
-                group = by_mask.get(key_bytes)
-                if group is None:
-                    by_mask[key_bytes] = len(filter_groups)
-                    filter_groups.append(
-                        (None if key_bytes is None else mask, [k])
-                    )
-                else:
-                    filter_groups[group][1].append(k)
+            # flat n·W word-route table.  Slots sharing the same tail set
+            # (e.g. the two directions of one colour class) are grouped so
+            # each distinct filter runs once per round.
+            filter_groups = _tail_filter_groups(
+                [slot.route >= 0 if ok else None for slot, ok in zip(slots, sparse_ok)]
+            )
             # The pre-split pending windows: per sparse-capable slot, the
             # delta-key arrays produced since its last firing (appended by
             # reference at production time, pre-filtered to the slot's
@@ -552,8 +362,7 @@ class HybridEngine(CheckpointingMixin):
             pending: list[list[np.ndarray]] = [[] for _ in slots]
             pending_raw = [0] * s
             idle = 0
-            last_news = base
-            for i in range(base + 1, program.max_rounds + 1):
+            for i in range(run.base + 1, program.max_rounds + 1):
                 keys: np.ndarray | None = None
                 key_rows: np.ndarray | None = None
                 new_words: np.ndarray | None = None
@@ -568,7 +377,7 @@ class HybridEngine(CheckpointingMixin):
                         raw = pending_raw[k]
                         pending[k] = []
                         pending_raw[k] = 0
-                        if i <= base + s:
+                        if i <= run.base + s:
                             # First firing: dense transmission covers
                             # whatever was produced during rounds 1 … i-1.
                             pass
@@ -580,9 +389,8 @@ class HybridEngine(CheckpointingMixin):
                             quiet = True
                         elif raw <= dense_cutoff:
                             dense = False
-                            if _telem:
-                                _sparse_fired += 1
-                                _routed += raw
+                            sparse_fired += 1
+                            routed += raw
                             # The window: every word changed since this
                             # slot's previous firing.  Entries are unique
                             # within each produced delta, so one sort-based
@@ -621,17 +429,16 @@ class HybridEngine(CheckpointingMixin):
                                 key_rows = head_rows[nz]
                                 new_words = new[nz]
                                 flat[keys] = (old | vals)[nz]
-                        elif _telem and raw:
+                        else:
                             # Over-threshold window → dense fallback below
                             # (counted separately from first firings).
-                            _dense_fallbacks += 1
+                            dense_fallbacks += 1
                     if dense:
                         # First firing of this slot, an irregular (non-
                         # injective) slot, an over-threshold window, or any
                         # round of a finite program: dense full-knowledge
                         # transmission, word delta kept in row form.
-                        if _telem:
-                            _dense_fired += 1
+                        dense_fired += 1
                         out = _dense_apply_grouped(knowledge, slot.groups)
                         if out is None:
                             quiet = True
@@ -642,51 +449,44 @@ class HybridEngine(CheckpointingMixin):
                                 keys = receivers[elements] * words + word_cols
                                 new_words = sub[elements, word_cols]
                 executed = i
-                if _telem:
-                    _simulated += 1
 
                 if not quiet:
                     idle = 0
-                    last_news = i
-                    if batched:
-                        # Completion is recovered from ``last_news`` after
-                        # the loop; nothing consumes the delta popcounts.
-                        pass
-                    else:
-                        gained = int(
-                            np.bitwise_count(
-                                new_words if keys is not None else sub
-                            ).sum()
+                    gained = int(
+                        np.bitwise_count(new_words if keys is not None else sub).sum()
+                    )
+                    coverage += gained
+                    cols = None
+                    if mask_covers_all:
+                        mask_total += gained
+                    elif target_pop:
+                        cols = keys % words
+                        mask_total += int(
+                            np.bitwise_count(new_words & mask_words[cols]).sum()
                         )
-                        coverage += gained
-                        cols = None
-                        if mask_covers_all:
-                            mask_total += gained
-                        elif target_pop:
+                    if mask_total == target_total:
+                        completion = i
+                    if track_items:
+                        if cols is None:
                             cols = keys % words
-                            mask_total += int(
-                                np.bitwise_count(new_words & mask_words[cols]).sum()
-                            )
-                        if mask_total == target_total:
-                            completion = i
-                        if track_items:
-                            if cols is None:
-                                cols = keys % words
-                            elements, j = _expand_delta_words(new_words, cols)
-                            if key_rows is None:
-                                key_rows = keys // words
-                            hv = key_rows[elements]
-                            if not items_only:
-                                vertex_items = j < n
-                                hv = hv[vertex_items]
-                                j = j[vertex_items]
-                            if inv_pos is not None:
-                                j = inv_pos[j]
-                            if item_count is not None and j.size:
-                                item_count += np.bincount(j, minlength=n)
-                                item_rounds[j[item_count[j] == n]] = i
-                            if arrivals is not None:
-                                arrivals[hv, j] = i
+                        elements, j = _expand_delta_words(new_words, cols)
+                        if key_rows is None:
+                            key_rows = keys // words
+                        hv = key_rows[elements]
+                        if not items_only:
+                            vertex_items = j < n
+                            hv = hv[vertex_items]
+                            j = j[vertex_items]
+                        if inv_pos is not None:
+                            j = inv_pos[j]
+                        if item_count is not None and j.size:
+                            item_count += np.bincount(j, minlength=n)
+                            done = j[item_count[j] == n]
+                            if done.size:
+                                for item in set(done.tolist()):
+                                    item_rounds[item] = i
+                        if arrivals is not None:
+                            arrivals[hv, j] = i
                     if completion is None and keys is not None:
                         # Production-time pre-split: hand this round's delta
                         # to every sparse-capable slot's pending window by
@@ -712,84 +512,24 @@ class HybridEngine(CheckpointingMixin):
 
                 if track_history:
                     history.append(coverage)
-                if ci < len(wanted) and wanted[ci] == i:
-                    capture(i, completion)
-                    ci += 1
+                if i == run.due:
+                    run.capture(i, completion, export)
                 if completion is not None:
                     break
                 if cyclic and idle >= s and i < program.max_rounds:
                     # A full period without news: every pending window is
-                    # empty, so knowledge is a fixed point.  Synthesize the
-                    # remaining no-op rounds bit-exactly instead of
-                    # executing them — checkpoint states included.
-                    if _telem:
-                        _early_exit = i
-                        _synthesized = program.max_rounds - i
-                    if track_history:
-                        history.extend([coverage] * (program.max_rounds - i))
-                    executed = program.max_rounds
-                    while ci < len(wanted) and wanted[ci] <= program.max_rounds:
-                        capture(wanted[ci], None)
-                        ci += 1
+                    # empty, so knowledge is a fixed point.
+                    executed = run.fixed_point(i, export)
                     break
 
-            if batched and completion is None:
-                # The run went quiet (fixed point or budget end) without a
-                # per-round completion check.  Under a covering mask a
-                # complete state produces no further news, so completeness
-                # now means completeness ever since the last news round —
-                # one total-popcount scan recovers the exact round.
-                if int(np.bitwise_count(knowledge).sum()) == target_total:
-                    completion = last_news
-                    executed = completion
-                    # Per-round accounting would have stopped at completion:
-                    # drop snapshots it never captured, stamp the one taken
-                    # at the completing round.
-                    captured[:] = [
-                        _replace(st, completion_round=completion)
-                        if st.round == completion
-                        else st
-                        for st in captured
-                        if st.round <= completion
-                    ]
-
-        if pos is None:
-            final = knowledge
-        else:
-            final = _gather_bit_columns(knowledge, out_colmap)
-
-        run_stats = None
-        if _telem:
-            counts = {
-                "runs": 1,
-                "rounds_simulated": _simulated,
-                "rounds_synthesized": _synthesized,
-                "slots_fired_sparse": _sparse_fired,
-                "slots_fired_dense": _dense_fired,
-                "dense_fallbacks": _dense_fallbacks,
-                "window_elements_routed": _routed,
-                "early_exit_round": _early_exit,
-            }
-            _rec.counters("engine.hybrid", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.hybrid.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.hybrid", counts)
-            run_stats.add_histogram("engine.hybrid.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=_unpack_rows(final),
-            coverage_history=tuple(history),
-            item_completion_rounds=None
-            if item_rounds is None
-            else tuple(int(x) if x >= 0 else None for x in item_rounds.tolist()),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals),
-            engine_name=self.name,
-            run_stats=run_stats,
+        return run.finish(
+            executed,
+            completion,
+            export,
+            {
+                "slots_fired_sparse": sparse_fired,
+                "slots_fired_dense": dense_fired,
+                "dense_fallbacks": dense_fallbacks,
+                "window_elements_routed": routed,
+            },
         )
-        return CheckpointedRun(result, tuple(captured))

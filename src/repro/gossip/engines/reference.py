@@ -15,30 +15,11 @@ makes this engine the oracle for the differential resume suite as well.
 
 from __future__ import annotations
 
-import time
 from functools import reduce
 from operator import and_
 
-from repro import telemetry
-from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-    iter_set_bits,
-)
-from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
-    CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    decode_arrivals_lists,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
-)
+from repro.gossip.engines.base import RoundProgram, iter_set_bits
+from repro.gossip.engines.checkpoint import CheckpointedRun, CheckpointingMixin, EngineRun
 
 __all__ = ["ReferenceEngine"]
 
@@ -47,139 +28,33 @@ class ReferenceEngine(CheckpointingMixin):
     """Arbitrary-precision-integer bitset loop (one Python iteration per arc)."""
 
     name = "reference"
+    counter_names = ("runs", "rounds_simulated", "slots_fired")
 
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
+    def run_checkpointed(self, program: RoundProgram, **options) -> CheckpointedRun:
+        """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
+        run = EngineRun(self, program, **options)
+        n = run.n
+        index = program.graph.index
+        knowledge = run.start
+        history = run.history
+        item_rounds = run.item_rounds
+        known_by_all = reduce(and_, knowledge) if item_rounds is not None else 0
+        arrivals = run.arrival_lists() if run.track_arrivals else None
+        full = run.full
+        track_history = run.track_history
+        slots_fired = 0
 
-    def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> CheckpointedRun:
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _slots_fired = 0
+        def export():
+            return tuple(knowledge), arrivals
 
-        graph = program.graph
-        n = graph.n
-        full = full_mask(n) if target_mask is None else target_mask
-        index = graph.index
-
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            knowledge = list(state.knowledge)
-            base = state.round
-        else:
-            knowledge = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(knowledge, n)
-
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(sum(bin(k).count("1") for k in knowledge))
-
-        item_rounds: list[int | None] | None = None
-        known_by_all = 0
-        if track_item_completion:
-            known_by_all = reduce(and_, knowledge)
-            if state is not None:
-                item_rounds = list(state.item_completion)
-            else:
-                item_rounds = [None] * n
-                for j in iter_set_bits(known_by_all):
-                    if j < n:
-                        item_rounds[j] = 0
-
-        arrivals: list[list[int | None]] | None = None
-        if track_arrivals:
-            if state is not None:
-                arrivals = decode_arrivals_lists(state.arrivals)
-            else:
-                arrivals = [[None] * n for _ in range(n)]
-                for v, bits in enumerate(knowledge):
-                    for j in iter_set_bits(bits):
-                        if j < n:
-                            arrivals[v][j] = 0
-
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
-
-        def capture(round_number: int, completion: int | None) -> None:
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=tuple(knowledge),
-                    completion_round=completion,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=tuple(history) if track_history else None,
-                    item_completion=None if item_rounds is None else tuple(item_rounds),
-                    arrivals=None if arrivals is None else encode_arrivals(arrivals),
-                    engine_name=self.name,
-                )
-            )
-
-        def is_done() -> bool:
-            return all(k & full == full for k in knowledge)
-
-        if state is not None:
-            completion = state.completion_round
-        else:
-            completion = 0 if is_done() else None
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(base, completion)
-            ci += 1
-
-        executed = base
+        run.start_capture(export)
+        completion = run.completion
+        executed = run.base
         if completion is None:
-            for round_number in range(base + 1, program.max_rounds + 1):
+            for round_number in range(run.base + 1, program.max_rounds + 1):
                 arcs = program.arcs_at(round_number)
                 if arcs:
-                    if _telem:
-                        _slots_fired += 1
+                    slots_fired += 1
                     snapshot = knowledge  # reads below use pre-round values
                     updates: dict[int, int] = {}
                     for tail, head in arcs:
@@ -200,39 +75,10 @@ class ReferenceEngine(CheckpointingMixin):
                         if j < n:
                             item_rounds[j] = round_number
                     known_by_all = now_known
-                if is_done():
+                if all(k & full == full for k in knowledge):
                     completion = round_number
-                if ci < len(wanted) and wanted[ci] == round_number:
-                    capture(round_number, completion)
-                    ci += 1
+                if round_number == run.due:
+                    run.capture(round_number, completion, export)
                 if completion is not None:
                     break
-
-        run_stats = None
-        if _telem:
-            counts = {
-                "runs": 1,
-                "rounds_simulated": executed - base,
-                "slots_fired": _slots_fired,
-            }
-            _rec.counters("engine.reference", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.reference.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.reference", counts)
-            run_stats.add_histogram("engine.reference.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=tuple(knowledge),
-            coverage_history=tuple(history),
-            item_completion_rounds=None if item_rounds is None else tuple(item_rounds),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals),
-            engine_name=self.name,
-            run_stats=run_stats,
-        )
-        return CheckpointedRun(result, tuple(captured))
+        return run.finish(executed, completion, export, {"slots_fired": slots_fired})

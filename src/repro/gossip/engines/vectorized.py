@@ -35,9 +35,7 @@ additionally lets it exit at the first incomplete row instead of scanning
 the whole matrix.  The strided-segment fast path stays untiled (it operates
 on copy-free views and allocates no temporary), and the non-disjoint
 snapshot path must stay untiled for correctness: a later tile's gather would
-observe an earlier tile's writes.  Pass ``VectorizedEngine(tile_bytes=None)``
-to disable tiling (used by the perf regression guard to compare against the
-untiled kernel).
+observe an earlier tile's writes.
 
 Completion detection
 --------------------
@@ -71,42 +69,25 @@ reuse a stale compilation.
 
 from __future__ import annotations
 
-import time
-
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
 
-from repro import telemetry
-from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-    iter_set_bits,
-)
+from repro.gossip.engines.base import RoundProgram, iter_set_bits
 from repro.gossip.engines._bitops import (
     WORD_BYTES as _WORD_BYTES,
+    compiled_slots as _compiled_slots,
     numpy_available,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     popcount_total as _popcount_total,
     set_bit_positions as _set_bit_positions,
     unpack_rows as _unpack_rows,
     unpack_words as _unpack_words,
 )
-from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
-    CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
-)
+from repro.gossip.engines.checkpoint import CheckpointedRun, CheckpointingMixin, EngineRun
 from repro.gossip.engines.layout import (
     row_locality_permutation as _row_permutation,
 )
@@ -201,10 +182,15 @@ def _compile_round(
     return tails, heads, disjoint, segments
 
 
+def _tile_rows(words: int) -> int:
+    """Rows per tile so gather temp + target rows fit ``_TILE_TARGET_BYTES``."""
+    return max(32, _TILE_TARGET_BYTES // (2 * words * _WORD_BYTES))
+
+
 def _apply_round(
     knowledge: np.ndarray,
     compiled: tuple[np.ndarray, np.ndarray, bool, list[tuple[slice | np.ndarray, slice]] | None],
-    tile_rows: int | None = None,
+    tile_rows: int,
 ) -> None:
     """One round: bulk OR of the senders' rows into the receivers' rows."""
     tails, heads, disjoint, segments = compiled
@@ -223,7 +209,7 @@ def _apply_round(
                     else knowledge.take(tail_part, axis=0)
                 )
                 np.bitwise_or(targets, sources, out=targets)
-        elif tile_rows is not None and len(heads) > tile_rows:
+        elif len(heads) > tile_rows:
             # Irregular round on a large instance: bound the gather temporary
             # to one L2-sized tile so the gathered rows are ORed into their
             # targets while still cache-resident.  Disjointness makes tile
@@ -242,47 +228,15 @@ def _apply_round(
         np.bitwise_or.at(knowledge, heads, knowledge.take(tails, axis=0))
 
 
-#: Compiled-round caches are cleared past this size so a long search walk
-#: cannot grow one without bound (distinct rounds accumulate with every
-#: insert/mutate move).
-_SLOT_CACHE_LIMIT = 4096
-
-
-def _compiled_rounds(graph, rounds, old_to_new, slot_cache):
-    """Per-round compiled index arrays, memoized in ``slot_cache`` when given.
-
-    Identity-keyed on the interned round tuples, like the sparse engines'
-    caches — but the compiled arrays live in the internal (permuted) row
-    order, and the permutation is a function of the first non-empty round's
-    head set.  Entries therefore also key on that anchor round's identity
-    (references to both objects are held in the value, so the ids stay
-    valid), which makes reuse across a search walk safe: a move that changes
-    the first non-empty round changes the key and forces recompilation.
-    """
-    if slot_cache is None:
-        return [_compile_round(graph, arcs, old_to_new) for arcs in rounds]
-    anchor = next((arcs for arcs in rounds if arcs), None)
-    compiled = []
-    for arcs in rounds:
-        key = (id(arcs), id(anchor))
-        entry = slot_cache.get(key)
-        if entry is None:
-            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
-                slot_cache.clear()
-            entry = slot_cache[key] = (arcs, anchor, _compile_round(graph, arcs, old_to_new))
-        compiled.append(entry[2])
-    return compiled
-
-
-def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int | None = None) -> bool:
+def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int) -> bool:
     """Does every row contain every bit of ``mask``?
 
-    With ``tile_rows`` the scan is chunked, which keeps each comparison
-    temporary inside L2 and — more importantly on incomplete states, which
-    is every check but the last — returns at the first incomplete chunk
-    instead of touching the whole matrix.
+    Past one tile the scan is chunked, which keeps each comparison temporary
+    inside L2 and — more importantly on incomplete states, which is every
+    check but the last — returns at the first incomplete chunk instead of
+    touching the whole matrix.
     """
-    if tile_rows is None or knowledge.shape[0] <= tile_rows:
+    if knowledge.shape[0] <= tile_rows:
         return bool(np.all((knowledge & mask) == mask))
     for start in range(0, knowledge.shape[0], tile_rows):
         block = knowledge[start : start + tile_rows]
@@ -294,255 +248,79 @@ def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int | None 
 class VectorizedEngine(CheckpointingMixin):
     """Bulk gather/scatter over a packed ``(n, ceil(n/64)) uint64`` matrix.
 
-    ``tile_bytes`` is the L2 budget the irregular-round gather path and the
-    completion scan are blocked to (``None`` disables tiling entirely and
-    reproduces the untiled kernel, which the perf regression guard compares
-    against).  Supports the checkpoint/resume protocol (see the module
-    docstring for how captures interact with the batched fast path).
+    The irregular-round gather path and the completion scan are blocked to
+    the ``_TILE_TARGET_BYTES`` L2 budget.  Supports the checkpoint/resume
+    protocol (see the module docstring for how captures interact with the
+    batched fast path).
     """
 
     name = "vectorized"
-
-    def __init__(self, *, tile_bytes: int | None = _TILE_TARGET_BYTES) -> None:
-        self._tile_bytes = tile_bytes
-
-    def _tile_rows(self, words: int) -> int | None:
-        """Rows per tile so gather temp + target rows fit the L2 budget."""
-        if self._tile_bytes is None:
-            return None
-        return max(32, self._tile_bytes // (2 * words * _WORD_BYTES))
-
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
+    counter_names = ("runs", "rounds_simulated", "batches", "replayed_rounds")
 
     def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
+        self, program: RoundProgram, *, slot_cache: dict | None = None, **options
     ) -> CheckpointedRun:
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _counts = {"batches": 0, "replayed_rounds": 0} if _telem else None
-
+        """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
+        run = EngineRun(self, program, **options)
         graph = program.graph
-        n = graph.n
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            start = list(state.knowledge)
-            base = state.round
-        else:
-            start = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(start, n)
-        full = full_mask(n) if target_mask is None else target_mask
-
         # Word width: enough for the n item bits, widened if a caller-supplied
         # initial state or target mask carries higher bits.
-        words = _packed_width(n, full, start)
-
+        words = _packed_width(run.n, run.full, run.start)
         # Rows live in an internal permuted order chosen for memory locality;
         # item bit columns keep the public vertex indexing throughout.
         new_to_old, old_to_new = _row_permutation(graph, program.rounds)
-        knowledge = np.empty((n, words), dtype=np.uint64)
-        for i, value in enumerate(start):
-            knowledge[old_to_new[i]] = _pack_int(value, words)
-        mask = _pack_int(full, words)
-
-        compiled = _compiled_rounds(graph, program.rounds, old_to_new, slot_cache)
-
-        def compiled_at(round_number: int):
-            if program.cyclic:
-                return compiled[(round_number - 1) % len(compiled)]
-            return compiled[round_number - 1]
-
-        tile_rows = self._tile_rows(words)
-
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(_popcount_total(knowledge))
-
-        item_rounds: list[int | None] | None = None
-        if track_item_completion:
-            if state is not None:
-                item_rounds = list(state.item_completion)
-            else:
-                item_rounds = [None] * n
-                known = np.bitwise_and.reduce(knowledge, axis=0)
-                for j in iter_set_bits(_unpack_words(known)):
-                    if j < n:
-                        item_rounds[j] = 0
-
-        arrivals: np.ndarray | None = None
-        receivers: list[np.ndarray | None] | None = None
-        if track_arrivals:
-            # First-arrival matrix in the engine's internal row order; item
-            # columns keep public indexing (only the n vertex items count).
-            arrivals = np.full((n, n), -1, dtype=np.int64)
-            if state is not None:
-                # The snapshot's rows use public vertex order; load each into
-                # its internal row so in-run updates index consistently.
-                for v, row in enumerate(state.arrivals):
-                    target_row = arrivals[old_to_new[v]]
-                    for j, r in enumerate(row):
-                        if r is not None:
-                            target_row[j] = r
-            else:
-                rows, cols = _set_bit_positions(knowledge)
-                vertex_items = cols < n
-                arrivals[rows[vertex_items], cols[vertex_items]] = 0
-            # Each round can only change its receiver rows; resolve them once
-            # per distinct compiled round, not once per executed round.
-            receivers = [
-                np.unique(c[1]) if c[1].size else None for c in compiled
-            ]
-
-        def receivers_at(round_number: int):
-            if program.cyclic:
-                return receivers[(round_number - 1) % len(receivers)]
-            return receivers[round_number - 1]
-
-        if state is not None:
-            completion: int | None = state.completion_round
-        else:
-            completion = base if _is_complete(knowledge, mask, tile_rows) else None
-
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
-
-        def capture(matrix: np.ndarray, round_number: int, completed: int | None) -> None:
-            # Canonical snapshot: unpermute the rows, unpack to Python ints.
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=_unpack_rows(matrix[old_to_new]),
-                    completion_round=completed,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=(
-                        tuple(history[: round_number + 1]) if track_history else None
-                    ),
-                    item_completion=None if item_rounds is None else tuple(item_rounds),
-                    arrivals=None
-                    if arrivals is None
-                    else encode_arrivals(arrivals[old_to_new].tolist()),
-                    engine_name=self.name,
-                )
-            )
-
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(knowledge, base, completion)
-            ci += 1
-
-        if completion is not None:
-            executed = base
-        elif (
-            track_history or item_rounds is not None or arrivals is not None or not compiled
-        ):
-            knowledge, executed, completion = self._run_tracked(
-                program, compiled_at, receivers_at, knowledge, mask, history,
-                item_rounds, arrivals,
-                base=base, track_history=track_history, tile_rows=tile_rows,
-                wanted=wanted, ci=ci, capture=capture,
-            )
-        else:
-            knowledge, executed, completion = self._run_fast(
-                program, compiled_at, knowledge, mask,
-                base=base, tile_rows=tile_rows, telem_counts=_counts,
-                wanted=wanted, ci=ci, capture=capture,
-            )
-
-        run_stats = None
-        if _telem:
-            counts = {"runs": 1, "rounds_simulated": executed - base}
-            counts.update(_counts)
-            _rec.counters("engine.vectorized", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.vectorized.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.vectorized", counts)
-            run_stats.add_histogram("engine.vectorized.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=_unpack_rows(knowledge[old_to_new]),
-            coverage_history=tuple(history),
-            item_completion_rounds=None if item_rounds is None else tuple(item_rounds),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals[old_to_new]),
-            engine_name=self.name,
-            run_stats=run_stats,
+        knowledge = _pack_rows(run.start, words)[new_to_old]
+        mask = _pack_int(run.full, words)
+        anchor = next((arcs for arcs in program.rounds if arcs), None)
+        compiled = _compiled_slots(
+            program.rounds,
+            lambda arcs: _compile_round(graph, arcs, old_to_new),
+            slot_cache,
+            anchor,
         )
-        return CheckpointedRun(result, tuple(captured))
+        arrivals = run.arrival_matrix() if run.track_arrivals else None
+
+        def export():
+            # Canonical snapshot: unpermute the rows, unpack to Python ints.
+            return _unpack_rows(knowledge[old_to_new]), arrivals
+
+        run.start_capture(export)
+        counts = {"batches": 0, "replayed_rounds": 0}
+        completion = run.completion
+        executed = run.base
+        if completion is None:
+            tracked = run.track_history or run.item_rounds is not None or arrivals is not None
+            if tracked or not compiled:
+                executed, completion = self._run_tracked(
+                    run, compiled, knowledge, mask, arrivals, new_to_old, export
+                )
+            else:
+                executed, completion = self._run_fast(
+                    run, compiled, knowledge, mask, counts, export
+                )
+        return run.finish(executed, completion, export, counts)
 
     # ------------------------------------------------------------------ #
     def _run_tracked(
-        self,
-        program: RoundProgram,
-        compiled_at,
-        receivers_at,
-        knowledge: np.ndarray,
-        mask: np.ndarray,
-        history: list[int],
-        item_rounds: list[int | None] | None,
-        arrivals: np.ndarray | None,
-        *,
-        base: int,
-        track_history: bool,
-        tile_rows: int | None,
-        wanted: list[int],
-        ci: int,
-        capture,
-    ) -> tuple[np.ndarray, int, int | None]:
+        self, run: EngineRun, compiled, knowledge, mask, arrivals, new_to_old, export
+    ) -> tuple[int, int | None]:
         """Round-by-round loop recording coverage, item completion, arrivals."""
-        n = program.graph.n
-        known_by_all = np.zeros(knowledge.shape[1], dtype=np.uint64)
+        program = run.program
+        n = run.n
+        s = len(compiled)
+        tile_rows = _tile_rows(knowledge.shape[1])
+        history, item_rounds = run.history, run.item_rounds
+        track_history = run.track_history
+        receivers: list | None = None
+        if arrivals is not None:
+            # Each round can only change its receiver rows; resolve them (and
+            # the public vertices they hold, the arrival matrix's rows) once
+            # per distinct compiled round, not once per executed round.
+            receivers = []
+            for c in compiled:
+                rows = np.unique(c[1]) if c[1].size else None
+                receivers.append(None if rows is None else (rows, new_to_old[rows]))
+        known_by_all = None
         if item_rounds is not None:
             # Recomputed from the (possibly resumed) snapshot: the already-
             # complete items carry their rounds in ``item_rounds``, so fresh
@@ -550,27 +328,24 @@ class VectorizedEngine(CheckpointingMixin):
             known_by_all = np.bitwise_and.reduce(knowledge, axis=0)
 
         completion: int | None = None
-        executed = base
-        has_rounds = bool(program.rounds)
-        for round_number in range(base + 1, program.max_rounds + 1):
-            if has_rounds:
-                compiled = compiled_at(round_number)
-                receivers = receivers_at(round_number) if arrivals is not None else None
-                if receivers is not None:
+        executed = run.base
+        for round_number in range(run.base + 1, program.max_rounds + 1):
+            if s:
+                k = (round_number - 1) % s if program.cyclic else round_number - 1
+                rows = receivers[k] if receivers is not None else None
+                if rows is not None:
                     # Only this round's receiver rows can change: snapshot
                     # them, apply, and record the freshly set bits (word
                     # scan + expansion of the nonzero words only).
-                    before = knowledge[receivers]
-                    _apply_round(knowledge, compiled, tile_rows)
-                    fresh = knowledge[receivers] & ~before
-                    rows, cols = _set_bit_positions(fresh)
-                    if rows.size:
+                    before = knowledge[rows[0]]
+                    _apply_round(knowledge, compiled[k], tile_rows)
+                    fresh = knowledge[rows[0]] & ~before
+                    hit, cols = _set_bit_positions(fresh)
+                    if hit.size:
                         vertex_items = cols < n
-                        arrivals[
-                            receivers[rows[vertex_items]], cols[vertex_items]
-                        ] = round_number
+                        arrivals[rows[1][hit[vertex_items]], cols[vertex_items]] = round_number
                 else:
-                    _apply_round(knowledge, compiled, tile_rows)
+                    _apply_round(knowledge, compiled[k], tile_rows)
             executed = round_number
             if track_history:
                 history.append(_popcount_total(knowledge))
@@ -584,27 +359,15 @@ class VectorizedEngine(CheckpointingMixin):
                 known_by_all = now_known
             if _is_complete(knowledge, mask, tile_rows):
                 completion = round_number
-            if ci < len(wanted) and wanted[ci] == round_number:
-                capture(knowledge, round_number, completion)
-                ci += 1
+            if round_number == run.due:
+                run.capture(round_number, completion, export)
             if completion is not None:
                 break
-        return knowledge, executed, completion
+        return executed, completion
 
     def _run_fast(
-        self,
-        program: RoundProgram,
-        compiled_at,
-        knowledge: np.ndarray,
-        mask: np.ndarray,
-        *,
-        base: int,
-        tile_rows: int | None,
-        telem_counts: dict | None = None,
-        wanted: list[int] = (),
-        ci: int = 0,
-        capture=None,
-    ) -> tuple[np.ndarray, int, int | None]:
+        self, run: EngineRun, compiled, knowledge, mask, counts, export
+    ) -> tuple[int, int | None]:
         """Batched loop: completion checked per batch, replayed for exactness.
 
         Executes rounds in batches of doubling size (capped at
@@ -614,39 +377,36 @@ class VectorizedEngine(CheckpointingMixin):
         indistinguishable from the reference engine's.
 
         Requested checkpoint rounds are forced batch boundaries: a batch is
-        clipped so it never crosses the next wanted round, and the capture
+        clipped so it never crosses the next due round, and the capture
         happens on the exact post-batch state — the doubling sequence is
         otherwise unchanged, so runs without checkpoints execute the exact
         same batches as before.
         """
-        max_rounds = program.max_rounds
-        executed = base
+        max_rounds = run.program.max_rounds
+        s = len(compiled)
+        step = (lambda r: compiled[r % s]) if run.program.cyclic else compiled.__getitem__
+        tile_rows = _tile_rows(knowledge.shape[1])
+        executed = run.base
         batch = 1
         while executed < max_rounds:
-            size = min(batch, max_rounds - executed)
-            if ci < len(wanted):
-                size = min(size, wanted[ci] - executed)
+            size = min(batch, max_rounds - executed, run.due - executed)
             saved = knowledge.copy()
-            if telem_counts is not None:
-                telem_counts["batches"] += 1
-            for offset in range(1, size + 1):
-                _apply_round(knowledge, compiled_at(executed + offset), tile_rows)
+            counts["batches"] += 1
+            for r in range(executed, executed + size):
+                _apply_round(knowledge, step(r), tile_rows)
             if _is_complete(knowledge, mask, tile_rows):
-                # Roll back and replay to pin down the exact round.
-                knowledge = saved
-                for offset in range(1, size + 1):
-                    _apply_round(knowledge, compiled_at(executed + offset), tile_rows)
-                    if telem_counts is not None:
-                        telem_counts["replayed_rounds"] += 1
+                # Roll back (in place: ``export`` reads this matrix) and
+                # replay to pin down the exact round.
+                np.copyto(knowledge, saved)
+                for r in range(executed, executed + size):
+                    _apply_round(knowledge, step(r), tile_rows)
+                    counts["replayed_rounds"] += 1
                     if _is_complete(knowledge, mask, tile_rows):
-                        executed += offset
-                        if ci < len(wanted) and wanted[ci] == executed:
-                            capture(knowledge, executed, executed)
-                            ci += 1
-                        return knowledge, executed, executed
+                        if r + 1 == run.due:
+                            run.capture(r + 1, r + 1, export)
+                        return r + 1, r + 1
             executed += size
-            if ci < len(wanted) and wanted[ci] == executed:
-                capture(knowledge, executed, None)
-                ci += 1
+            if executed == run.due:
+                run.capture(executed, None, export)
             batch = min(batch * 2, _BATCH_CAP)
-        return knowledge, executed, None
+        return executed, None

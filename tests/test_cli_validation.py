@@ -2,9 +2,10 @@
 
 Every numeric flag is checked by argparse, so a bad value exits with code 2
 and an ``argument --flag: ...`` message before any work starts.  Inputs that
-only the library can reject (e.g. more crashed vertices than the graph has)
-reach the ``ReproError`` boundary in :func:`repro.cli.main`, which prints one
-line and returns 2 instead of a traceback.
+only the library can reject (e.g. more crashed vertices than the graph has,
+or a ``--size`` the family's builder refuses) reach the ``ReproError``
+boundary in :func:`repro.cli.main`, which prints one line and returns 2
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -51,11 +52,28 @@ def test_bad_numeric_argument_is_a_usage_error(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
-def test_library_error_is_one_line_with_exit_code_2(capsys):
+#: Bad input only the library can reject: each takes the one-line
+#: ``repro-gossip: error:`` path with exit code 2.
+LIBRARY_ERRORS = [
     # argparse cannot know the graph has 8 vertices; CrashFaults rejects k = 99.
-    assert main(ROBUSTNESS + ["--model", "crash", "--k", "99", "--trials", "5"]) == 2
+    (ROBUSTNESS + ["--model", "crash", "--k", "99", "--trials", "5"], "crash count"),
+    (["optimize", "--family", "cycle", "--size", "abc"], "expected integers"),
+    (["optimize", "--family", "cycle", "--size", "4x4"], "expects 1 size value(s)"),
+    (["robustness", "--family", "grid", "--size", "5"], "expects 2 size value(s)"),
+    (["optimize", "--family", "grid", "--size", "0x3"], "invalid --size '0x3' for grid"),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    LIBRARY_ERRORS,
+    ids=["crash-k", "size-not-integer", "size-arity-1", "size-arity-2", "size-rejected"],
+)
+def test_library_error_is_one_line_with_exit_code_2(argv, message, capsys):
+    assert main(argv) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("repro-gossip: error: ")
+    assert message in err
     assert "\n" not in err
 
 

@@ -153,7 +153,8 @@ class TestFrontierEmptyFixedPoint:
 
 
 class TestPresplitWindows:
-    """The pre-split pending path must be bit-identical to the ring rescan."""
+    """The pre-split pending windows must match the reference oracle — on
+    window-heavy schedules, the saturating fixed-point path and resume."""
 
     def _schedules(self):
         yield coloring_systolic_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
@@ -164,26 +165,21 @@ class TestPresplitWindows:
                 grid_2d(3, 4), 5, Mode.DIRECTED, seed=seed, activation_probability=0.5
             )
 
-    def test_registered_engine_presplits(self):
-        assert get_engine(ENGINE).presplit_windows is True
-
     @pytest.mark.parametrize(
         "track",
         [{}, {"track_item_completion": True}, {"track_arrivals": True}],
         ids=["plain", "items", "arrivals"],
     )
-    def test_presplit_matches_rescan(self, track):
+    def test_presplit_matches_reference(self, track):
         from test_engines_differential import assert_results_identical
 
-        presplit = FrontierEngine(presplit_windows=True)
-        rescan = FrontierEngine(presplit_windows=False)
         for schedule in self._schedules():
             program = RoundProgram.from_schedule(schedule, 80)
-            a = presplit.run(program, track_history=True, **track)
-            b = rescan.run(program, track_history=True, **track)
-            assert_results_identical(a, b, (schedule.name, track))
+            a = get_engine(ENGINE).run(program, track_history=True, **track)
+            b = get_engine("reference").run(program, track_history=True, **track)
+            assert_results_identical(b, a, (schedule.name, track))
 
-    def test_presplit_matches_rescan_on_saturating_schedule(self):
+    def test_presplit_matches_reference_on_saturating_schedule(self):
         from test_engines_differential import assert_results_identical
 
         # Exercises the fixed-point early exit and empty pending windows.
@@ -192,20 +188,21 @@ class TestPresplitWindows:
         rounds = [[(i, i + 1)] for i in range(n - 1)]
         schedule = SystolicSchedule(graph, rounds, mode=Mode.DIRECTED)
         program = RoundProgram.from_schedule(schedule, 120)
-        a = FrontierEngine(presplit_windows=True).run(program, track_history=True)
-        b = FrontierEngine(presplit_windows=False).run(program, track_history=True)
-        assert_results_identical(a, b, "saturating")
+        a = get_engine(ENGINE).run(program, track_history=True)
+        b = get_engine("reference").run(program, track_history=True)
+        assert_results_identical(b, a, "saturating")
 
-    def test_presplit_matches_rescan_on_resume(self):
-        # A resumed run must stay bit-exact on both window layouts.
+    def test_presplit_matches_reference_on_resume(self):
+        # A resumed run restarts with empty pending windows and must stay
+        # bit-exact.
+        from test_engines_differential import assert_results_identical
+
         schedule = coloring_systolic_schedule(cycle_graph(14), Mode.HALF_DUPLEX)
         program = RoundProgram.from_schedule(schedule, 60)
         results = []
-        for flag in (True, False):
-            engine = FrontierEngine(presplit_windows=flag)
+        for name in (ENGINE, "reference"):
+            engine = get_engine(name)
             first = engine.run_checkpointed(program, checkpoint_rounds=(3,))
             (state,) = first.checkpoints
             results.append(engine.run_checkpointed(program, resume_from=state).result)
-        from test_engines_differential import assert_results_identical
-
-        assert_results_identical(results[0], results[1], "resume")
+        assert_results_identical(results[1], results[0], "resume")

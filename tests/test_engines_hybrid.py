@@ -18,12 +18,7 @@ any oracle, so they would still catch a bug shared by both implementations
   any changed word, knowledge can never grow again: doubling the round
   budget leaves the final state untouched and the coverage tail constant,
   while ``rounds_executed`` still reports the full budget (the engine's
-  early exit must be unobservable);
-* **batched ≡ per-round completion accounting** — ``batched_completion``
-  skips the per-round delta popcounts and recovers the completion round
-  from the last news round; every observable field (checkpoint states
-  included) must match per-round accounting bit for bit, whether or not
-  the gate admits the batched path.
+  early exit must be unobservable).
 """
 
 from __future__ import annotations
@@ -180,92 +175,3 @@ class TestActiveWordsEmptyFixedPoint:
         assert gossip_time(schedule, engine=ENGINE) == gossip_time(
             schedule, engine="reference"
         )
-
-
-class TestBatchedCompletion:
-    """``batched_completion=True`` must be metamorphic: on every workload —
-    whether or not the gate (cyclic, untracked, covering mask) admits the
-    batched path — results are bit-identical to per-round accounting.  The
-    quiet-tail argument it relies on (complete ⇒ no further news ⇒
-    completion round = last news round) is exactly the kind of shared-blind-
-    spot reasoning these oracle-free tests exist to pin down."""
-
-    CASES = {
-        "cycle": lambda: coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX),
-        "grid-full-duplex": lambda: coloring_systolic_schedule(
-            grid_2d(3, 4), Mode.FULL_DUPLEX
-        ),
-        "random-sparse": lambda: random_systolic_schedule(
-            grid_2d(3, 5), 5, Mode.HALF_DUPLEX, seed=11, activation_probability=0.6
-        ),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
-    def test_batched_matches_per_round_on_plain_runs(self, case, threshold):
-        program = RoundProgram.from_schedule(self.CASES[case]())
-        per_round = HybridEngine(dense_threshold=threshold)
-        batched = HybridEngine(dense_threshold=threshold, batched_completion=True)
-        options = {"track_history": False}
-        assert_results_identical(
-            per_round.run(program, **options),
-            batched.run(program, **options),
-            (case, threshold),
-        )
-
-    def test_batched_matches_on_never_completing_run(self):
-        # Forward-only path rounds: saturation without completion exercises
-        # the post-loop completeness check's negative branch.
-        n = 7
-        graph = path_graph(n)
-        rounds = [[(i, i + 1)] for i in range(n - 1)]
-        schedule = SystolicSchedule(graph, rounds, mode=Mode.DIRECTED)
-        program = RoundProgram.from_schedule(schedule, 90)
-        options = {"track_history": False}
-        a = HybridEngine().run(program, **options)
-        b = HybridEngine(batched_completion=True).run(program, **options)
-        assert a.completion_round is None
-        assert_results_identical(a, b, "never-completing")
-
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"track_history": True},
-            {"track_history": False, "track_arrivals": True},
-            {"track_history": False, "track_item_completion": True},
-            {"track_history": False, "target_mask": 0b1011},
-        ],
-        ids=["history", "arrivals", "items", "subset-mask"],
-    )
-    def test_gate_closed_workloads_still_identical(self, options):
-        # Tracked runs and subset masks close the batched gate; the flag
-        # must then be a no-op, not a wrong answer.
-        program = RoundProgram.from_schedule(
-            coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
-        )
-        assert_results_identical(
-            HybridEngine().run(program, **options),
-            HybridEngine(batched_completion=True).run(program, **options),
-            ("gate-closed", options),
-        )
-
-    def test_batched_checkpoints_match_per_round(self):
-        # Batched mode discovers completion late and must fix its captured
-        # states up: states past the completion round are dropped and the
-        # completing round's state is stamped, exactly as per-round
-        # accounting would have captured them.
-        program = RoundProgram.from_schedule(
-            coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
-        )
-        every = range(program.max_rounds + 1)
-        options = {"track_history": False}
-        a = HybridEngine().run_checkpointed(program, checkpoint_rounds=every, **options)
-        b = HybridEngine(batched_completion=True).run_checkpointed(
-            program, checkpoint_rounds=every, **options
-        )
-        assert_results_identical(a.result, b.result, "batched-checkpointed")
-        assert a.result.completion_round is not None
-        assert [s.round for s in a.checkpoints] == [s.round for s in b.checkpoints]
-        for sa, sb in zip(a.checkpoints, b.checkpoints):
-            assert sa.knowledge == sb.knowledge, sa.round
-            assert sa.completion_round == sb.completion_round, sa.round

@@ -12,7 +12,6 @@ from repro.gossip.engines import (
     AUTO_ENGINE,
     ENGINE_ENV_VAR,
     ReferenceEngine,
-    VectorizedEngine,
     available_engines,
     get_engine,
     register_engine,
@@ -100,50 +99,24 @@ class TestVectorizedPerformance:
 
 
 @pytest.mark.slow
-@pytest.mark.perf_regression
-class TestTilingRegressionGuard:
-    """The L2-tiled kernel must never be slower than the PR 1 (untiled) kernel.
+class TestTiledKernelAtScale:
+    """The L2-tiled gather path agrees with the hybrid engine at scale.
 
-    ``VectorizedEngine(tile_bytes=None)`` reproduces the untiled kernel
-    exactly.  The workload is a random (irregular) matching schedule on
-    C(8192): irregular rounds defeat the strided-segment fast path, so both
-    engines run the gather/scatter path whose temporary the tiling bounds —
-    the knowledge matrix (8 MiB) plus an untiled gather temporary are far
-    beyond L2 at this size.
-
-    The relative assertion is ``perf_regression``-marked: it runs in the CI
-    perf job (weekly cron + dispatch), not as a per-PR gate, where shared
-    runners would make a 1.25× wall-clock comparison flaky.
+    The workload is a random (irregular) matching schedule on C(8192):
+    irregular rounds defeat the strided-segment fast path, so the
+    vectorized kernel runs the tiled gather/scatter path (the knowledge
+    matrix alone is 8 MiB, far beyond one tile), while the hybrid engine
+    computes the same run through its active-word windows.
     """
 
-    def test_tiled_no_slower_than_untiled_at_8192(self):
+    def test_tiled_kernel_matches_hybrid_at_8192(self):
         n = 8192
         schedule = random_systolic_schedule(cycle_graph(n), 4, Mode.HALF_DUPLEX, seed=3)
         program = RoundProgram.from_schedule(schedule, 256)
-        tiled = VectorizedEngine()
-        untiled = VectorizedEngine(tile_bytes=None)
-
-        def best_of(engine, repeats=3):
-            result = None
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = engine.run(program, track_history=False)
-                best = min(best, time.perf_counter() - start)
-            return best, result
-
-        untiled_s, untiled_result = best_of(untiled)
-        tiled_s, tiled_result = best_of(tiled)
-
-        # Large-instance differential check rides along for free.
-        assert tiled_result.knowledge == untiled_result.knowledge
-        assert tiled_result.rounds_executed == untiled_result.rounds_executed
-
-        # "No slower", with headroom for scheduler noise; locally the tiled
-        # kernel is ~1.4x faster on this workload.
-        assert tiled_s <= untiled_s * 1.25, (
-            f"tiled kernel regressed: tiled {tiled_s:.3f}s vs untiled {untiled_s:.3f}s"
-        )
+        tiled = get_engine("vectorized").run(program, track_history=False)
+        hybrid = get_engine("hybrid").run(program, track_history=False)
+        assert tiled.knowledge == hybrid.knowledge
+        assert tiled.rounds_executed == hybrid.rounds_executed
 
 
 @pytest.mark.slow

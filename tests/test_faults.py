@@ -476,8 +476,8 @@ class TestSurface:
         out = capsys.readouterr().out
         assert out.strip()
 
-    def test_cli_robustness_rejects_bad_size(self):
+    def test_cli_robustness_rejects_bad_size(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["robustness", "--family", "cycle", "--size", "2x3"])
+        assert main(["robustness", "--family", "cycle", "--size", "2x3"]) == 2
+        assert capsys.readouterr().err.startswith("repro-gossip: error: ")

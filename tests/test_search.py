@@ -343,11 +343,11 @@ class TestExperimentTable:
         assert "(found, lower_bound, gap) = (" in out
         assert "winner: C(8)-opt-half-duplex" in out
 
-    def test_cli_optimize_rejects_bad_size(self):
+    def test_cli_optimize_rejects_bad_size(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["optimize", "--family", "grid", "--size", "12"])
+        assert main(["optimize", "--family", "grid", "--size", "12"]) == 2
+        assert capsys.readouterr().err.startswith("repro-gossip: error: ")
 
 
 def test_program_for_rounds_budget_matches_schedule_default():
