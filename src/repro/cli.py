@@ -58,7 +58,7 @@ from repro.experiments.runner import (
     format_table,
     run_all,
 )
-from repro.experiments.sandwich import sandwich_table
+from repro.experiments.sandwich import SANDWICH_COLUMNS, sandwich_table
 from repro.experiments.search_gaps import search_gaps_table
 from repro.experiments.structure import render_matrix, structure_report
 from repro.gossip.engines import AUTO_ENGINE, available_engines
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(loadable in Perfetto / chrome://tracing)",
     )
     report = sub.add_parser(
-        "report", help="summarise the persistent run ledger and flag perf anomalies"
+        "report", help="summarise the perf trajectory and flag perf anomalies"
     )
     report.add_argument(
         "--section", default=None, help="restrict to one benchmark section"
@@ -278,16 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="recorded runs to show per section (default 5)",
     )
-    _add_ledger_flag(report)
+    _add_trajectory_flag(report)
     compare = sub.add_parser(
-        "compare", help="compare two recorded revisions in the run ledger"
+        "compare", help="compare two recorded revisions in the perf trajectory"
     )
-    compare.add_argument("rev1", help="baseline revision (as recorded in the ledger)")
+    compare.add_argument("rev1", help="baseline revision (as recorded in the trajectory)")
     compare.add_argument("rev2", help="revision to compare against the baseline")
     compare.add_argument(
         "--section", default=None, help="restrict to one benchmark section"
     )
-    _add_ledger_flag(compare)
+    _add_trajectory_flag(compare)
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
     return parser
@@ -345,12 +345,14 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ledger_flag(parser: argparse.ArgumentParser) -> None:
-    """``--ledger``: the sqlite run-ledger path (REPRO_LEDGER-aware default)."""
+def _add_trajectory_flag(parser: argparse.ArgumentParser) -> None:
+    """``--trajectory``: the perf-trajectory JSON that ``report``/``compare`` read."""
     parser.add_argument(
-        "--ledger",
-        default=None,
-        help="run-ledger database (default: REPRO_LEDGER or .repro/ledger.db)",
+        "--trajectory",
+        metavar="PATH",
+        default=telemetry.DEFAULT_TRAJECTORY,
+        help="trajectory file written by benchmarks/record_trajectory.py "
+        f"(default: {telemetry.DEFAULT_TRAJECTORY})",
     )
 
 
@@ -570,37 +572,45 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args: argparse.Namespace) -> int:
-    """The ``report`` subcommand: per-section ledger history + anomalies."""
-    from repro.telemetry.ledger import Ledger, LedgerError
-    from repro.telemetry.regress import analyze_ledger
+def _load_observations(path: str):
+    """``(rows, per-section observations)`` of a trajectory, or ``None``
+    after printing the error when the file cannot be read."""
+    from repro.telemetry.regress import load_trajectory, trajectory_observations
 
     try:
-        with Ledger(args.ledger, read_only=True) as ledger:
-            sections = (
-                [args.section] if args.section is not None else ledger.sections()
-            )
-            if not sections:
-                print(f"ledger {ledger.path}: no recorded runs yet")
-                return 0
-            for name in sections:
-                rows = ledger.runs(section=name, last=args.last)
-                if not rows:
-                    print(f"section {name}: no recorded runs")
-                    continue
-                print(f"section {name}")
-                print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
-                for row in rows:
-                    seconds = "-" if row.seconds is None else f"{row.seconds:.4f}"
-                    print(
-                        f"  {row.date:<12}{row.rev:<12}{seconds:>10}"
-                        f"  {len(row.counters)}"
-                    )
-                print()
-            findings = analyze_ledger(ledger, section=args.section)
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
+        rows = load_trajectory(path)
+    except (OSError, ValueError) as exc:
+        print(f"trajectory error: {exc}", file=sys.stderr)
+        return None
+    return rows, trajectory_observations(rows)
+
+
+def _run_report(args: argparse.Namespace) -> int:
+    """The ``report`` subcommand: per-section trajectory history + anomalies."""
+    from repro.telemetry.regress import analyze_sections
+
+    loaded = _load_observations(args.trajectory)
+    if loaded is None:
         return 1
+    _, observations = loaded
+    sections = [args.section] if args.section is not None else sorted(observations)
+    if not sections:
+        print(f"trajectory {args.trajectory}: no recorded runs yet")
+        return 0
+    for name in sections:
+        series = observations.get(name, [])[-args.last :]
+        if not series:
+            print(f"section {name}: no recorded runs")
+            continue
+        print(f"section {name}")
+        print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
+        for obs in series:
+            seconds = "-" if obs.seconds is None else f"{obs.seconds:.4f}"
+            print(f"  {obs.date:<12}{obs.rev:<12}{seconds:>10}  {len(obs.counters)}")
+        print()
+    findings = analyze_sections(
+        {name: observations[name] for name in sections if name in observations}
+    )
     if findings:
         for finding in findings:
             print(finding.format())
@@ -611,52 +621,42 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     """The ``compare`` subcommand: latest rows of two revisions, side by side."""
-    from repro.telemetry.ledger import Ledger, LedgerError
     from repro.telemetry.regress import COUNTER_THRESHOLD
 
-    try:
-        with Ledger(args.ledger, read_only=True) as ledger:
-            known = ledger.revisions()
-            for rev in (args.rev1, args.rev2):
-                if rev not in known:
-                    print(
-                        f"revision {rev!r} has no recorded runs in {ledger.path}"
-                        + (f" (known: {', '.join(known)})" if known else " (empty ledger)"),
-                        file=sys.stderr,
-                    )
-                    return 1
-            sections = (
-                [args.section] if args.section is not None else ledger.sections()
-            )
-            compared = 0
-            for name in sections:
-                left_rows = ledger.runs(section=name, rev=args.rev1, last=1)
-                right_rows = ledger.runs(section=name, rev=args.rev2, last=1)
-                if not left_rows or not right_rows:
-                    continue
-                left, right = left_rows[0], right_rows[0]
-                compared += 1
-                print(f"section {name}")
-                if left.seconds and right.seconds:
-                    ratio = right.seconds / left.seconds
-                    print(
-                        f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}"
-                        f"  ({ratio:.2f}x)"
-                    )
-                for counter in sorted(set(left.counters) & set(right.counters)):
-                    before, after = left.counters[counter], right.counters[counter]
-                    if before and after and (
-                        after / before > COUNTER_THRESHOLD
-                        or before / after > COUNTER_THRESHOLD
-                    ):
-                        print(
-                            f"  {counter}: {before} -> {after}"
-                            f"  ({after / before:.2f}x)"
-                        )
-                print()
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
+    loaded = _load_observations(args.trajectory)
+    if loaded is None:
         return 1
+    rows, observations = loaded
+    known = list(dict.fromkeys(row.get("rev", "?") for row in rows))
+    for rev in (args.rev1, args.rev2):
+        if rev not in known:
+            print(
+                f"revision {rev!r} has no recorded runs in {args.trajectory}"
+                + (f" (known: {', '.join(known)})" if known else " (empty trajectory)"),
+                file=sys.stderr,
+            )
+            return 1
+    sections = [args.section] if args.section is not None else sorted(observations)
+    compared = 0
+    for name in sections:
+        series = observations.get(name, [])
+        lefts = [obs for obs in series if obs.rev == args.rev1]
+        rights = [obs for obs in series if obs.rev == args.rev2]
+        if not lefts or not rights:
+            continue
+        left, right = lefts[-1], rights[-1]
+        compared += 1
+        print(f"section {name}")
+        if left.seconds and right.seconds:
+            ratio = right.seconds / left.seconds
+            print(f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}  ({ratio:.2f}x)")
+        for counter in sorted(set(left.counters) & set(right.counters)):
+            before, after = left.counters[counter], right.counters[counter]
+            if before and after and (
+                after / before > COUNTER_THRESHOLD or before / after > COUNTER_THRESHOLD
+            ):
+                print(f"  {counter}: {before} -> {after}  ({after / before:.2f}x)")
+        print()
     if not compared:
         print(
             f"no section recorded under both {args.rev1!r} and {args.rev2!r}",
@@ -787,28 +787,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(
             format_table(
                 sandwich_table(unroll_periods=args.unroll_periods, engine=args.engine),
-                [
-                    "graph",
-                    "n",
-                    "mode",
-                    "period",
-                    "certified_lower_bound",
-                    "analytic_lower_bound",
-                    "measured_gossip_time",
-                    "consistent",
-                    "engine",
-                ],
+                (*SANDWICH_COLUMNS, "engine"),
             )
         )
     elif command == "broadcast":
-        print(format_table(broadcast_sweep_table(engine=args.engine), BROADCAST_COLUMNS))
+        print(
+            format_table(
+                broadcast_sweep_table(engine=args.engine), (*BROADCAST_COLUMNS, "engine")
+            )
+        )
     elif command == "search":
         print(
             format_table(
                 search_gaps_table(
                     engine=args.engine, seed=args.seed, max_iters=args.iterations
                 ),
-                SEARCH_GAP_COLUMNS,
+                (*SEARCH_GAP_COLUMNS, "engine"),
             )
         )
     elif command == "optimize":

@@ -2,9 +2,11 @@
 
 Every lower bound in the paper reduces to finding the unique ``λ ∈ (0, 1)``
 with ``f(λ) = 1`` for a strictly increasing ``f`` (the norm-bound function of
-the relevant mode and period).  We bracket the root on ``(0, 1)`` and use
-``scipy.optimize.brentq``, falling back to plain bisection if Brent's method
-is unavailable or mis-behaves; both paths are covered by tests.
+the relevant mode and period).  We bracket the root on ``(0, 1)`` and
+bisect: about 45 halvings reach the 1e-12 tolerance, each one norm-bound
+evaluation, with no dependency beyond the standard library and one code
+path on every machine.  The paper's tables are quoted to four decimals, far
+coarser than the tolerance.
 """
 
 from __future__ import annotations
@@ -83,13 +85,7 @@ def solve_unit_root(
             "This happens for degenerate periods (e.g. the half-duplex bound with s <= 2)."
         )
 
-    try:
-        from scipy.optimize import brentq
-
-        root = float(brentq(g, lo, hi, xtol=tolerance, rtol=8.881784197001252e-16))
-    except Exception:  # pragma: no cover - scipy failure path exercised via fallback test
-        root = bisection_root(g, lo, hi, tolerance=tolerance)
-
+    root = bisection_root(g, lo, hi, tolerance=tolerance)
     if not 0.0 < root < 1.0:
         raise BoundComputationError(f"root solver returned λ={root} outside (0, 1)")
     return root

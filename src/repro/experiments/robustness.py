@@ -42,7 +42,7 @@ __all__ = [
     "robustness_table",
 ]
 
-#: Column order of the robustness table (shared by the CLI and run_all).
+#: Column order of the robustness table in run_all.
 ROBUSTNESS_COLUMNS = (
     "family",
     "n",
@@ -56,7 +56,6 @@ ROBUSTNESS_COLUMNS = (
     "robust_completion",
     "robust_mean",
     "worst_case_k1",
-    "engine",
 )
 
 
@@ -76,7 +75,6 @@ class RobustnessRow:
     robust_completion: float
     robust_mean: float | None
     worst_case_k1: int | None
-    engine: str
 
     @property
     def consistent(self) -> bool:
@@ -172,7 +170,6 @@ def robustness_table(
                     robust_completion=robust_rate,
                     robust_mean=robust_mean,
                     worst_case_k1=worst_report.rounds,
-                    engine=resolved.name,
                 )
             )
     return rows

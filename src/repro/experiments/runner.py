@@ -17,7 +17,7 @@ from repro.experiments.fig5 import fig5_table
 from repro.experiments.fig6 import fig6_table
 from repro.experiments.fig8 import fig8_table
 from repro.experiments.robustness import ROBUSTNESS_COLUMNS, robustness_table
-from repro.experiments.sandwich import sandwich_table
+from repro.experiments.sandwich import SANDWICH_COLUMNS, sandwich_table
 from repro.experiments.search_gaps import SEARCH_GAP_COLUMNS, search_gaps_table
 from repro.experiments.structure import render_matrix, structure_report
 
@@ -43,7 +43,8 @@ EXPERIMENT_NAMES = (
     "robustness",
 )
 
-#: Column order of the broadcast-sweep table (shared by the CLI and run_all).
+#: Column order of the broadcast-sweep table in run_all; the CLI's
+#: ``broadcast`` command appends the resolved ``engine``.
 BROADCAST_COLUMNS = (
     "family",
     "n",
@@ -54,7 +55,6 @@ BROADCAST_COLUMNS = (
     "broadcast_max",
     "broadcast_mean",
     "max_matches_gossip",
-    "engine",
 )
 
 
@@ -204,21 +204,6 @@ def run_all(*, include_sandwich: bool = True, engine: str = "auto") -> str:
 
     if include_sandwich:
         sections.append("\n== SANDWICH: certified lower bounds vs. measured gossip times ==")
-        sections.append(
-            format_table(
-                sandwich_table(engine=engine),
-                [
-                    "graph",
-                    "n",
-                    "mode",
-                    "period",
-                    "certified_lower_bound",
-                    "analytic_lower_bound",
-                    "measured_gossip_time",
-                    "consistent",
-                    "engine",
-                ],
-            )
-        )
+        sections.append(format_table(sandwich_table(engine=engine), SANDWICH_COLUMNS))
 
     return "\n".join(sections)

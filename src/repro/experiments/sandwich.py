@@ -38,7 +38,20 @@ from repro.topologies.debruijn import de_bruijn
 from repro.topologies.kautz import kautz
 from repro.topologies.properties import diameter
 
-__all__ = ["SandwichRow", "sandwich_table", "default_instances"]
+__all__ = ["SANDWICH_COLUMNS", "SandwichRow", "sandwich_table", "default_instances"]
+
+#: Column order of the sandwich table in run_all; the CLI's ``sandwich``
+#: command appends the resolved ``engine``.
+SANDWICH_COLUMNS = (
+    "graph",
+    "n",
+    "mode",
+    "period",
+    "certified_lower_bound",
+    "analytic_lower_bound",
+    "measured_gossip_time",
+    "consistent",
+)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ __all__ = [
     "search_gaps_table",
 ]
 
-#: Column order of the search-gaps table (shared by the CLI and run_all).
+#: Column order of the search-gaps table in run_all; the CLI's ``search``
+#: command appends the resolved ``engine``.
 SEARCH_GAP_COLUMNS = (
     "family",
     "n",
@@ -52,7 +53,6 @@ SEARCH_GAP_COLUMNS = (
     "gap",
     "beats_baseline",
     "evaluations",
-    "engine",
 )
 
 

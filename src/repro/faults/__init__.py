@@ -13,14 +13,14 @@ answer it at scale:
   crashes) and :class:`~repro.faults.models.AdversarialArcFaults`
   (worst-case per-period link deletion, exact for small budgets, greedy
   beyond);
-* :mod:`repro.faults.montecarlo` — the trial driver: a batched
-  ``(trials, n, W)`` bitset tensor kernel advancing *all* trials one round
-  per NumPy pass, plus a looped per-engine fallback; both consume the same
-  seeded fault realisation, so results are bit-identical across paths and
-  engines — and :func:`~repro.faults.montecarlo.monte_carlo_stacked`
-  extends the tensor across whole candidate portfolios
-  (``(n, candidates·trials, W)``), which is how robust batch search
-  amortises its trials;
+* :mod:`repro.faults.montecarlo` — the trial driver: one
+  ``(n, candidates·trials, W)`` bitset tensor kernel advancing *all*
+  trials one round per NumPy pass — one candidate for
+  :func:`~repro.faults.montecarlo.monte_carlo`, a whole portfolio for
+  :func:`~repro.faults.montecarlo.monte_carlo_stacked` (how robust batch
+  search amortises its trials) — plus the looped per-engine oracle; both
+  consume the same seeded fault realisation, so results are bit-identical
+  across paths and engines;
 * :mod:`repro.faults.metrics` — completion probability vs round budget,
   expected/quantile gossip times, per-vertex reachability degradation, and
   :func:`~repro.faults.metrics.worst_case_gossip_time`.
@@ -41,6 +41,20 @@ candidates by their mean behaviour over a fixed seeded fault sample, so
 ``synthesize_schedule`` can trade nominal rounds for fault tolerance; the
 ``repro-gossip robustness`` CLI subcommand and
 :mod:`repro.experiments.robustness` expose the whole pipeline.
+
+Telemetry counters
+------------------
+Each entry point flushes one counter group per call, under the names
+declared in :mod:`repro.faults.montecarlo` (``MONTECARLO_COUNTERS``,
+``STACKED_COUNTERS``):
+
+* ``faults.montecarlo`` (:func:`~repro.faults.montecarlo.monte_carlo`):
+  ``runs``, ``trials``, ``completed``, ``horizon``, and from the tensor
+  kernel ``batches``, ``exact_replays``, ``compactions``;
+* ``faults.montecarlo_stacked``
+  (:func:`~repro.faults.montecarlo.monte_carlo_stacked`): ``runs``,
+  ``candidates``, ``trials``, ``completed``, ``horizon``, ``batches``,
+  ``exact_replays``, ``compactions``.
 """
 
 from __future__ import annotations

@@ -1,57 +1,45 @@
-"""Batched Monte-Carlo fault-injection driver.
+"""Monte-Carlo fault-injection driver: one tensor kernel and a looped oracle.
 
-Runs ``trials`` perturbed executions of one protocol under a
-:class:`~repro.faults.models.FaultModel` and reports per-trial completion
-rounds and final knowledge.  Two execution paths consume the *same*
-:class:`~repro.faults.models.FaultSample` realisation:
+Runs ``trials`` perturbed executions of one protocol (or of a whole
+candidate set) under a :class:`~repro.faults.models.FaultModel` and reports
+per-trial completion rounds and final knowledge.  Two execution paths
+consume the *same* :class:`~repro.faults.models.FaultSample` realisation:
 
-* **batched** — the vectorized engine's packed ``(n, W) uint64`` matrix
-  stacked into an ``(n, trials, W)`` tensor (trials on the *middle* axis,
-  so a round's row gathers are contiguous block copies).  Each round slot
-  is precompiled once per period into the shared head-grouped layout
+* **the tensor kernel** — the vectorized engine's packed ``(n, W) uint64``
+  matrix stacked into an ``(n, candidates · trials, W)`` tensor (trials on
+  the *middle* axis, so a round's row gathers are contiguous block copies;
+  each candidate's trials are one contiguous column block).  Each round
+  slot is precompiled once per period into the shared head-grouped layout
   (:class:`~repro.gossip.engines._bitops.HeadGroups`); one NumPy
-  gather/mask/OR/scatter sequence then advances *all* still-active trials
-  a round.  Two further ideas are lifted from the vectorized engine:
-  vertex-disjoint matching rounds with an arithmetic-progression structure
-  are applied *densely* through copy-free strided views with only the
-  sparse set of faulted transmissions snapshot/restored around the OR
+  gather/mask/OR/scatter sequence then advances all still-active trials of
+  a candidate a round.  Two further ideas are lifted from the vectorized
+  engine: vertex-disjoint matching rounds with an arithmetic-progression
+  structure are applied *densely* through copy-free strided views with only
+  the sparse set of faulted transmissions snapshot/restored around the OR
   (exact because a failed arc's head receives from nobody else and feeds
   nobody this round), and completion runs on doubling-size round batches
   with per-trial exact replay from the saved pre-batch state, after which
-  completed trials are compacted out of the tensor.  Together this is what
-  makes thousands of perturbed trials per schedule a cheap workload
+  completed trials are compacted out of the tensor.
+  :func:`monte_carlo` runs one candidate through it
   (``benchmarks/bench_faults.py`` asserts ≥ 5× over the looped path at
-  n = 1024, trials = 256; measured ≈ 26×).
-* **looped** — the reference fallback: per trial, materialise the perturbed
-  finite round sequence and run it through any engine of the registry.
-  Slower (per-trial round compilation and per-round Python overhead are
-  paid ``trials`` times) but completely general, and the path that extends
-  fault coverage to every registered backend.
+  n = 1024, trials = 256; measured ≈ 26×); :func:`monte_carlo_stacked`
+  runs a whole candidate set over one vertex count in one invocation, which
+  is what makes scoring a search neighbourhood's robustness cheap.
+* **looped** — the differential oracle: per trial, materialise the
+  perturbed finite round sequence and run it through any engine of the
+  registry.  Slower (per-trial round compilation and per-round Python
+  overhead are paid ``trials`` times) but completely general, and the path
+  that extends fault coverage to every registered backend.
 
 Because both paths replay one shared realisation, their results agree
 bit-for-bit — not just statistically — and the looped path inherits the
 engine registry's own differential guarantees, giving cross-engine
 bit-exactness of fault trials for free (enforced by
-``tests/test_faults_differential.py``).
-
-Candidate stacking
-------------------
-:func:`monte_carlo_stacked` generalises the batched kernel from one
-protocol to a whole *candidate set* over the same vertex count: the tensor
-grows to ``(n, candidates · trials, W)`` with candidate-major column
-blocks, each candidate's round slots compiled once into its own
-head-grouped (and AP-segmented) layout, and every round advanced with one
-pass over the per-candidate block views.  Each candidate keeps its own
-seeded :class:`~repro.faults.models.FaultSample` (fault draws depend on
-the candidate's own horizon and arc count), so every candidate's results
-are bit-identical to a standalone :func:`monte_carlo` call — growing the
-candidate set never perturbs the trials of the candidates already in it.
-Batch bookkeeping (doubling round batches, one completion scan, compaction
-of finished columns) is shared across the whole stack, which is what makes
-scoring a search neighbourhood's robustness one kernel invocation instead
-of one per candidate (``benchmarks/bench_faults.py`` gates the speed-up).
-Candidates past their own horizon simply freeze (their columns ride along
-untouched) until the stack drains.
+``tests/test_faults_differential.py``).  Each stacked candidate keeps its
+own seeded sample (fault draws depend on the candidate's own horizon and
+arc count), so growing a candidate set never perturbs the trials of the
+candidates already in it; candidates past their own horizon freeze (their
+columns ride along untouched) until the stack drains.
 
 Scope: trials start from the paper's initial state (vertex ``i`` knows item
 ``i``) and target complete gossip — the robustness questions this subsystem
@@ -60,9 +48,11 @@ subset targets.
 
 When a :mod:`repro.telemetry` recorder is active, every :func:`monte_carlo`
 call records one ``faults.monte_carlo`` span (method, engine, tensor shape)
-plus a single ``faults.montecarlo`` counter flush — ``trials``,
-``completed``, ``horizon``, and on the batched path ``batches``,
-``exact_replays`` and ``compactions`` — and one ``faults.compaction`` event
+plus a single ``faults.montecarlo`` counter flush
+(:data:`MONTECARLO_COUNTERS`; the looped path flushes only the first four),
+every :func:`monte_carlo_stacked` call one ``faults.monte_carlo_stacked``
+span plus one ``faults.montecarlo_stacked`` flush
+(:data:`STACKED_COUNTERS`), and the kernel one ``faults.compaction`` event
 per tensor shrink.  All counters are plain gated ints accumulated locally;
 with the default ``NullRecorder`` the whole layer costs one context-variable
 read per call and never changes results (``tests/test_telemetry.py``).
@@ -73,10 +63,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError
@@ -93,7 +80,6 @@ from repro.gossip.engines._bitops import (
     WORD_MASK as _WORD_MASK,
     WORD_SHIFT as _WORD_SHIFT,
     compile_head_groups as _compile_head_groups,
-    numpy_available,
     pack_int as _pack_int,
     unpack_rows as _unpack_rows,
 )
@@ -106,10 +92,39 @@ __all__ = [
     "monte_carlo_stacked",
     "default_horizon",
     "METHODS",
+    "MONTECARLO_COUNTERS",
+    "STACKED_COUNTERS",
 ]
 
 #: Execution paths accepted by :func:`monte_carlo`.
 METHODS = ("auto", "batched", "looped")
+
+#: ``faults.montecarlo`` counter names, in flush order.  Every call flushes
+#: the first four; the tensor kernel adds the last three.
+MONTECARLO_COUNTERS = (
+    "runs",
+    "trials",
+    "completed",
+    "horizon",
+    "batches",
+    "exact_replays",
+    "compactions",
+)
+
+#: ``faults.montecarlo_stacked`` counter names, in flush order.
+STACKED_COUNTERS = (
+    "runs",
+    "candidates",
+    "trials",
+    "completed",
+    "horizon",
+    "batches",
+    "exact_replays",
+    "compactions",
+)
+
+#: The tensor kernel's own counters (the tail of both declarations).
+_KERNEL_COUNTERS = MONTECARLO_COUNTERS[4:]
 
 #: Horizon granted per fault-free gossip round when ``max_rounds`` is not
 #: given: generous enough for moderate fault rates to complete, small
@@ -165,6 +180,50 @@ def default_horizon(nominal_rounds: int, period: int, factor: int = _HORIZON_FAC
     return ((target + period - 1) // period) * period
 
 
+def _prepare(
+    program: RoundProgram,
+    model: FaultModel,
+    trials: int,
+    seed: int,
+    max_rounds: int | None,
+    engine: str | SimulationEngine | None,
+) -> tuple[int | None, int, FaultSample]:
+    """``(nominal, horizon, sample)`` of one program's trials.
+
+    ``nominal`` is the fault-free gossip time the default horizon derives
+    from (``None`` when ``max_rounds`` is given and the nominal run is
+    skipped); a finite program's horizon never exceeds its own length.
+    """
+    nominal: int | None = None
+    if max_rounds is None:
+        result = resolve_engine(engine, program).run(program, track_history=False)
+        nominal = result.completion_round
+        if nominal is None:
+            raise SimulationError(
+                "the fault-free protocol never completed gossip, so no default "
+                "round budget exists; pass max_rounds explicitly"
+            )
+        horizon = default_horizon(nominal, len(program.rounds))
+    else:
+        horizon = max_rounds
+    if not program.cyclic:
+        horizon = min(horizon, len(program.rounds))
+    return nominal, horizon, model.sample(program, horizon, trials, seed=seed)
+
+
+def _flush(rec, component: str, counts: dict, kernel_counts: dict | None, completion) -> None:
+    """One counter flush plus the completed trials' round distribution."""
+    if kernel_counts is not None:
+        counts.update(kernel_counts)
+    rec.counters(component, counts)
+    hist = telemetry.Histogram.of(*(r for r in completion if r is not None))
+    if hist.count:
+        # Per-trial completion-round distribution (completed trials only —
+        # failures are the `trials - completed` counter gap); one name for
+        # both entry points, so the distributions merge.
+        rec.histogram("faults.completion_rounds", hist)
+
+
 def monte_carlo(
     protocol_or_schedule,
     model: FaultModel,
@@ -183,11 +242,11 @@ def monte_carlo(
     finite :class:`~repro.gossip.model.GossipProtocol` the horizon never
     exceeds the protocol's own length.
 
-    ``method="auto"`` takes the batched tensor kernel whenever NumPy is
-    available and no specific engine was requested.  "No specific engine"
-    means ``engine`` is ``None`` or ``"auto"`` (case-insensitively) *and*
-    the ``REPRO_SIM_ENGINE`` override is unset — a pinned environment, like
-    a named ``engine`` or ``method="looped"``, runs the per-trial loop
+    ``method="auto"`` takes the tensor kernel (``"batched"``) whenever no
+    specific engine was requested.  "No specific engine" means ``engine``
+    is ``None`` or ``"auto"`` (case-insensitively) *and* the
+    ``REPRO_SIM_ENGINE`` override is unset — a pinned environment, like a
+    named ``engine`` or ``method="looped"``, runs the per-trial loop
     through that backend instead.  Both paths consume the same seeded
     fault realisation, so the choice never changes the results, only the
     throughput.
@@ -199,31 +258,16 @@ def monte_carlo(
     _t0 = time.perf_counter_ns() if _telem else 0
     program = _program_for(protocol_or_schedule, None)
     explicit_engine = not is_auto_spec(engine) or engine_override() is not None
-
-    nominal: int | None = None
-    if max_rounds is None:
-        nominal_result = resolve_engine(engine, program).run(program, track_history=False)
-        nominal = nominal_result.completion_round
-        if nominal is None:
-            raise SimulationError(
-                "the fault-free protocol never completed gossip, so no default "
-                "round budget exists; pass max_rounds explicitly"
-            )
-        horizon = default_horizon(nominal, len(program.rounds))
-    else:
-        horizon = max_rounds
-    if not program.cyclic:
-        horizon = min(horizon, len(program.rounds))
-
-    sample = model.sample(program, horizon, trials, seed=seed)
+    nominal, horizon, sample = _prepare(program, model, trials, seed, max_rounds, engine)
 
     if method == "auto":
-        method = "batched" if numpy_available() and not explicit_engine else "looped"
+        method = "looped" if explicit_engine else "batched"
+    _counts = None
     if method == "batched":
-        if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-            raise SimulationError("the batched Monte-Carlo path requires NumPy >= 2.0")
-        _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
-        completion, knowledge = _run_batched(program, sample, telem_counts=_counts)
+        _counts = dict.fromkeys(_KERNEL_COUNTERS, 0) if _telem else None
+        ((completion, knowledge),) = _run_batched_stacked(
+            [program], [sample], telem_counts=_counts
+        )
         engine_name = "montecarlo-batched"
     else:
         # Trials are finite perturbed programs, which the decision function
@@ -233,7 +277,6 @@ def monte_carlo(
         )
         completion, knowledge = _run_looped(program, sample, resolved)
         engine_name = resolved.name
-        _counts = None
 
     if _telem:
         counts = {
@@ -242,14 +285,7 @@ def monte_carlo(
             "completed": sum(1 for r in completion if r is not None),
             "horizon": horizon,
         }
-        if _counts is not None:
-            counts.update(_counts)
-        _rec.counters("faults.montecarlo", counts)
-        _hist = telemetry.Histogram.of(*(r for r in completion if r is not None))
-        if _hist.count:
-            # Per-trial completion-round distribution (completed trials
-            # only — failures are the `trials - completed` counter gap).
-            _rec.histogram("faults.completion_rounds", _hist)
+        _flush(_rec, "faults.montecarlo", counts, _counts, completion)
         telemetry.record_span(
             "faults.monte_carlo",
             _t0,
@@ -333,164 +369,18 @@ def _apply_masked_round(
     tensor[g.uheads] = old
 
 
-def _run_batched(
-    program: RoundProgram,
-    sample: FaultSample,
-    *,
-    telem_counts: dict | None = None,
-) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
-    """All trials at once over a stacked ``(n, trials, W)`` bitset tensor.
-
-    Trials live in the *middle* axis so that gathering a round's tail rows
-    is a contiguous block copy (the gather/scatter volume — m·trials·W
-    words per round — is the inherent cost; this layout moves it at
-    streaming bandwidth instead of strided-access speed).  Completion is
-    detected as in the vectorized engine's fast path: rounds run in batches
-    of doubling size (capped at ``_BATCH_CAP``) with one full completion
-    scan per batch, and each newly-completed trial is replayed alone from
-    the saved pre-batch state to pin its exact completion round.  Applying
-    extra rounds to an already-complete trial cannot change its state (its
-    rows hold every item bit, OR is idempotent), so the replay is purely
-    about the round *number* — results stay bit-identical to the looped
-    path.  Completed trials are then dropped from the tensor, so the
-    per-round cost tracks the surviving trial count.
-    """
-    graph = program.graph
-    n = graph.n
-    trials = sample.trials
-    horizon = sample.horizon
-    words = max(1, (n + _WORD_MASK) >> _WORD_SHIFT)
-
-    groups = [_compile_head_groups(graph, arcs) for arcs in program.rounds]
-    s = len(groups)
-
-    def group_at(r: int):
-        return groups[(r - 1) % s] if program.cyclic else groups[r - 1]
-
-    # Every row must hold all n item bits to be complete.
-    full_value = (1 << n) - 1
-    full_words = _pack_int(full_value, words)
-    target = n * n
-
-    completion = np.full(trials, -1, dtype=np.int64)
-    if n == 1:
-        completion[:] = 0
-
-    # The paper's initial state, replicated per live trial column.
-    live = np.flatnonzero(completion < 0)
-    tensor = np.zeros((n, live.size, words), dtype=np.uint64)
-    rows = np.arange(n)
-    tensor[rows, :, (rows >> _WORD_SHIFT)] = _BIT_LUT[rows & _WORD_MASK][:, None]
-
-    def replay_trial(trial: int, saved_column: np.ndarray, start: int, stop: int) -> int:
-        """Exact completion round of one trial over rounds start+1 … stop."""
-        matrix = saved_column.copy()
-        for r in range(start + 1, stop + 1):
-            g = group_at(r)
-            if g.m == 0:
-                continue
-            fails = ~sample.trial_mask(trial, r)[g.arc_order]
-            _apply_masked_round(matrix, g, fails)
-            if int(np.bitwise_count(matrix).sum()) == target:
-                return r
-        raise SimulationError(  # pragma: no cover - scan/replay disagreement
-            f"replay of trial {trial} did not reach completion by round {stop}"
-        )
-
-    scratch_rows = max((g.m + g.uheads.size for g in groups if g.m), default=0)
-
-    # Strided fast path per slot: a vertex-disjoint matching round whose
-    # head-sorted arcs decompose into a few arithmetic progressions (the
-    # vectorized engine's AP segments) is applied *densely* through
-    # copy-free slice views — and the sparse set of faulted transmissions
-    # is snapshot/restored around the dense OR.  That is exact precisely
-    # because of disjointness: a failed arc's head receives from no other
-    # arc this round (heads distinct), and its pre-round row is never a
-    # source for anyone (no head is a tail), so restoring it yields the
-    # same state as never firing the arc.
-    segments = []
-    for g in groups:
-        seg = None
-        if (
-            g.m
-            and g.heads_distinct
-            and np.intersect1d(g.src_tails, g.uheads).size == 0
-        ):
-            seg = _ap_segments(g.src_tails, g.uheads)
-        segments.append(seg)
-
-    executed = 0
-    batch = 1
-    buffer = np.empty((scratch_rows, live.size, words), dtype=np.uint64)
-    while executed < horizon and live.size:
-        size = min(batch, horizon - executed)
-        if telem_counts is not None:
-            telem_counts["batches"] += 1
-        saved = tensor.copy()
-        for offset in range(1, size + 1):
-            r = executed + offset
-            g = group_at(r)
-            if g.m == 0:
-                continue
-            rmask = sample.round_mask(r)[live][:, g.arc_order]
-            if not rmask.any():
-                continue
-            seg = segments[(r - 1) % s] if program.cyclic else segments[r - 1]
-            if seg is not None:
-                fails_arc, fails_col = np.nonzero(~rmask.T)
-                if fails_arc.size:
-                    kept_rows = tensor[g.uheads[fails_arc], fails_col]
-                for tail_part, head_slice in seg:
-                    targets = tensor[head_slice]
-                    sources = (
-                        tensor[tail_part]
-                        if isinstance(tail_part, slice)
-                        else tensor.take(tail_part, axis=0)
-                    )
-                    np.bitwise_or(targets, sources, out=targets)
-                if fails_arc.size:
-                    tensor[g.uheads[fails_arc], fails_col] = kept_rows
-            else:
-                _apply_masked_round(tensor, g, np.ascontiguousarray(~rmask.T), buffer)
-        done = ((tensor & full_words) == full_words).all(axis=(0, 2))
-        if done.any():
-            for position in np.flatnonzero(done):
-                completion[live[position]] = replay_trial(
-                    int(live[position]), saved[:, position], executed, executed + size
-                )
-            keep = ~done
-            dropped = int(done.sum())
-            live = live[keep]
-            tensor = np.ascontiguousarray(tensor[:, keep])
-            buffer = np.empty((scratch_rows, live.size, words), dtype=np.uint64)
-            if telem_counts is not None:
-                telem_counts["exact_replays"] += dropped
-                telem_counts["compactions"] += 1
-                telemetry.event(
-                    "faults.compaction",
-                    round=executed + size,
-                    dropped=dropped,
-                    live=int(live.size),
-                )
-        executed += size
-        batch = min(batch * 2, _BATCH_CAP)
-
-    # Completed trials ended with every item everywhere; survivors unpack.
-    knowledge: list[tuple[int, ...]] = [None] * trials  # type: ignore[list-item]
-    complete_row = (full_value,) * n
-    for t in range(trials):
-        if completion[t] >= 0:
-            knowledge[t] = complete_row
-    for position, t in enumerate(live.tolist()):
-        knowledge[t] = _unpack_rows(np.ascontiguousarray(tensor[:, position]))
-    return (
-        tuple(int(c) if c >= 0 else None for c in completion.tolist()),
-        tuple(knowledge),
-    )
-
-
 def _slot_segments(groups: list) -> list:
-    """Per-slot AP segments (or ``None``) exactly as the batched kernel's."""
+    """Per-slot AP segments, or ``None`` where the strided path does not apply.
+
+    A vertex-disjoint matching round whose head-sorted arcs decompose into a
+    few arithmetic progressions (the vectorized engine's AP segments) is
+    applied *densely* through copy-free slice views, with the sparse set of
+    faulted transmissions snapshot/restored around the dense OR.  That is
+    exact precisely because of disjointness: a failed arc's head receives
+    from no other arc this round (heads distinct), and its pre-round row is
+    never a source for anyone (no head is a tail), so restoring it yields
+    the same state as never firing the arc.
+    """
     segments = []
     for g in groups:
         seg = None
@@ -510,32 +400,36 @@ def _run_batched_stacked(
     *,
     telem_counts: dict | None = None,
 ) -> list[tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]]:
-    """All trials of *all candidates* at once over one stacked tensor.
+    """All trials of all candidates at once over one stacked tensor.
 
-    Generalises :func:`_run_batched`: columns of the ``(n, cols, W)`` tensor
-    are grouped into candidate-major blocks (candidate ``c``'s trials
-    occupy one contiguous column slice), and every round applies each
-    candidate's own precompiled slot — its head groups, AP segments and
-    fault mask — to its block *view*.  Compaction drops finished columns
-    but preserves column order, so the blocks stay contiguous slices and
-    every in-place round application keeps operating on views.
+    Trials live in the *middle* axis of the ``(n, cols, W)`` tensor so that
+    gathering a round's tail rows is a contiguous block copy (the
+    gather/scatter volume — m·cols·W words per round — is the inherent
+    cost; this layout moves it at streaming bandwidth).  Columns are
+    grouped into candidate-major blocks (candidate ``c``'s trials occupy
+    one contiguous column slice), and every round applies each candidate's
+    own precompiled slot — its head groups, AP segments and fault mask —
+    to its block *view*.
 
-    Each candidate runs against its own :class:`FaultSample` (horizon and
-    draws included), so the per-candidate results are bit-identical to a
-    standalone :func:`_run_batched` call on that ``(program, sample)``
-    pair: rounds are applied in the same order with the same masks, and
-    completion rounds are pinned by per-trial exact replay clamped to the
-    candidate's own horizon.  Candidates past their horizon freeze — their
-    still-live columns ride along untouched until the whole stack drains.
+    Completion is detected as in the vectorized engine's fast path: rounds
+    run in batches of doubling size (capped at ``_BATCH_CAP``) with one
+    full completion scan per batch, and each newly-completed trial is
+    replayed alone from the saved pre-batch state to pin its exact
+    completion round, clamped to its candidate's own horizon.  Applying
+    extra rounds to an already-complete trial cannot change its state (its
+    rows hold every item bit, OR is idempotent), so the replay is purely
+    about the round *number* — results stay bit-identical to the looped
+    path.  Completed trials are then dropped from the tensor; compaction
+    preserves column order, so the blocks stay contiguous slices and the
+    per-round cost tracks the surviving trial count.  Candidates past their
+    horizon freeze — their still-live columns ride along untouched until
+    the whole stack drains.
 
-    Candidates must share the vertex count ``n`` (the tensor's row axis);
-    everything else — periods, horizons, trial counts — may differ.
+    Each candidate runs against its own :class:`FaultSample`, so its
+    results do not depend on the rest of the set.  Candidates must share
+    the vertex count ``n`` (the tensor's row axis); everything else —
+    periods, horizons, trial counts — may differ.
     """
-    if len(programs) != len(samples):
-        raise SimulationError(
-            f"stacked Monte-Carlo needs one sample per program, got "
-            f"{len(programs)} programs and {len(samples)} samples"
-        )
     if not programs:
         return []
     k = len(programs)
@@ -728,72 +622,49 @@ def monte_carlo_stacked(
     candidates = list(candidates)
     if not candidates:
         return ()
-    if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-        raise SimulationError("the stacked Monte-Carlo path requires NumPy >= 2.0")
     _rec = telemetry.get_recorder()
     _telem = _rec.enabled
     _t0 = time.perf_counter_ns() if _telem else 0
     programs = [_program_for(candidate, None) for candidate in candidates]
+    prepared = [_prepare(p, model, trials, seed, max_rounds, engine) for p in programs]
 
-    nominals: list[int | None] = []
-    horizons: list[int] = []
-    fault_samples: list[FaultSample] = []
-    for program in programs:
-        if max_rounds is None:
-            nominal_result = resolve_engine(engine, program).run(
-                program, track_history=False
-            )
-            nominal = nominal_result.completion_round
-            if nominal is None:
-                raise SimulationError(
-                    "a fault-free candidate never completed gossip, so no default "
-                    "round budget exists; pass max_rounds explicitly"
-                )
-            horizon = default_horizon(nominal, len(program.rounds))
-        else:
-            nominal = None
-            horizon = max_rounds
-        if not program.cyclic:
-            horizon = min(horizon, len(program.rounds))
-        nominals.append(nominal)
-        horizons.append(horizon)
-        fault_samples.append(model.sample(program, horizon, trials, seed=seed))
-
-    _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
-    outcomes = _run_batched_stacked(programs, fault_samples, telem_counts=_counts)
+    _counts = dict.fromkeys(_KERNEL_COUNTERS, 0) if _telem else None
+    outcomes = _run_batched_stacked(
+        programs, [sample for _, _, sample in prepared], telem_counts=_counts
+    )
     results = tuple(
         FaultTrialResult(
-            graph=programs[i].graph,
+            graph=program.graph,
             model_name=model.name,
             trials=trials,
-            horizon=horizons[i],
+            horizon=horizon,
             seed=seed,
-            nominal_rounds=nominals[i],
-            completion_rounds=outcomes[i][0],
-            knowledge=outcomes[i][1],
+            nominal_rounds=nominal,
+            completion_rounds=completion,
+            knowledge=knowledge,
             engine_name="montecarlo-stacked",
         )
-        for i in range(len(programs))
+        for program, (nominal, horizon, _), (completion, knowledge) in zip(
+            programs, prepared, outcomes
+        )
     )
 
     if _telem:
+        horizon = max(result.horizon for result in results)
         counts = {
             "runs": 1,
             "candidates": len(programs),
             "trials": trials * len(programs),
             "completed": sum(r.completed for r in results),
-            "horizon": max(horizons),
+            "horizon": horizon,
         }
-        if _counts is not None:
-            counts.update(_counts)
-        _rec.counters("faults.montecarlo_stacked", counts)
-        _hist = telemetry.Histogram.of(
-            *(r for result in results for r in result.completion_rounds if r is not None)
+        _flush(
+            _rec,
+            "faults.montecarlo_stacked",
+            counts,
+            _counts,
+            [r for result in results for r in result.completion_rounds],
         )
-        if _hist.count:
-            # Same name as the solo path: one distribution to merge across
-            # batched and candidate-stacked runs.
-            _rec.histogram("faults.completion_rounds", _hist)
         telemetry.record_span(
             "faults.monte_carlo_stacked",
             _t0,
@@ -802,7 +673,7 @@ def monte_carlo_stacked(
             n=programs[0].graph.n,
             candidates=len(programs),
             trials=trials,
-            horizon=max(horizons),
+            horizon=horizon,
             words=max(1, (programs[0].graph.n + _WORD_MASK) >> _WORD_SHIFT),
         )
     return results

@@ -51,7 +51,8 @@ arc degree, cyclicity:
   cache-resident (≤ 4 MiB, i.e. n ≲ 4–6k), **hybrid** past the cache
   crossover (measured from n ≈ 4096 on paths, n ≈ 8192 on cycles and
   elongated grids).
-* no NumPy → **reference** (also the differential oracle; never fast).
+
+``"auto"`` never picks **reference**, the differential oracle.
 
 Callers that resolve without a program (``resolve_engine()`` bare) keep
 the historical pick — the vectorized kernel, whose dense gather/scatter
@@ -78,9 +79,8 @@ when certifying a new backend against the batched kernel — the looped path
 replays the identical fault realisation, so disagreement is a bug, never
 noise.
 
-The availability gate (``numpy_available``) exists for backends with
-genuinely optional dependencies, which ``"auto"`` skips when their
-dependency is missing.
+NumPy (≥ 2.0, for ``np.bitwise_count``) is a hard dependency declared in
+``pyproject.toml``, so all four backends are always registered.
 
 Checkpoint/resume
 -----------------
@@ -204,7 +204,7 @@ from repro.gossip.engines.layout import (
     workload_summary,
 )
 from repro.gossip.engines.reference import ReferenceEngine
-from repro.gossip.engines.vectorized import VectorizedEngine, numpy_available
+from repro.gossip.engines.vectorized import VectorizedEngine
 
 __all__ = [
     "ArrivalRounds",
@@ -364,8 +364,6 @@ def explain_engine_selection(
     event carries it so a trace explains every automatic dispatch.
     """
     del track_history  # accepted for signature parity; does not affect the pick
-    if not numpy_available() or VectorizedEngine.name not in _REGISTRY:
-        return ReferenceEngine.name, "numpy unavailable; reference is the only backend"
     if not program.cyclic:
         # Finite programs never reuse a round slot, so the sparse engines'
         # windows never pay off: every firing would take the dense path
@@ -420,12 +418,6 @@ def explain_engine_selection(
     )
 
 
-def _auto_engine() -> SimulationEngine:
-    if numpy_available() and VectorizedEngine.name in _REGISTRY:
-        return _REGISTRY[VectorizedEngine.name]
-    return _REGISTRY[ReferenceEngine.name]
-
-
 def resolve_engine(
     spec: str | SimulationEngine | None = None,
     program: RoundProgram | None = None,
@@ -442,8 +434,8 @@ def resolve_engine(
     caller supplies the ``program`` it is about to run (plus its tracking
     flags), selection is workload-aware (:func:`select_engine_name`);
     without a program it keeps the historical program-blind pick (the
-    vectorized kernel when NumPy is available).  Explicit names — matched
-    case-insensitively — always win over both.  An unknown name raises
+    vectorized kernel).  Explicit names — matched case-insensitively —
+    always win over both.  An unknown name raises
     :class:`~repro.exceptions.SimulationError` naming the environment
     variable when that is where the bad name came from, rather than
     silently running a different backend.
@@ -490,7 +482,7 @@ def resolve_engine(
                 **workload_summary(program.graph),
             )
         return _REGISTRY[name]
-    engine = _auto_engine()
+    engine = _REGISTRY[VectorizedEngine.name]
     if telem:
         telemetry.event(
             "engine.resolve",
@@ -502,7 +494,6 @@ def resolve_engine(
 
 
 register_engine(ReferenceEngine())
-if numpy_available():
-    register_engine(VectorizedEngine())
-    register_engine(FrontierEngine())
-    register_engine(HybridEngine())
+register_engine(VectorizedEngine())
+register_engine(FrontierEngine())
+register_engine(HybridEngine())

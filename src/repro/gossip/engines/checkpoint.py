@@ -76,10 +76,7 @@ from functools import reduce
 from operator import and_
 from typing import Protocol, runtime_checkable
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - only the packed engines need it
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError

@@ -85,12 +85,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.exceptions import SimulationError
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.engines.checkpoint import CheckpointedRun, CheckpointingMixin, EngineRun
 from repro.gossip.engines._bitops import (
@@ -100,7 +96,6 @@ from repro.gossip.engines._bitops import (
     compile_head_groups as _compile_head_groups,
     compiled_slots as _compiled_slots,
     dense_apply_grouped as _dense_apply_grouped,
-    numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
@@ -270,8 +265,6 @@ class FrontierEngine(CheckpointingMixin):
         self, program: RoundProgram, *, slot_cache: dict | None = None, **options
     ) -> CheckpointedRun:
         """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
-        if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-            raise SimulationError("the frontier engine requires NumPy >= 2.0")
         run = EngineRun(self, program, **options)
         graph = program.graph
         n, full, start = run.n, run.full, run.start

@@ -120,10 +120,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.gossip.engines.base import RoundProgram
@@ -132,7 +129,6 @@ from repro.gossip.engines._bitops import (
     compiled_slots as _compiled_slots,
     dense_apply_grouped as _dense_apply_grouped,
     expand_delta_words as _expand_delta_words,
-    numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
@@ -242,8 +238,6 @@ class HybridEngine(CheckpointingMixin):
         self, program: RoundProgram, *, slot_cache: dict | None = None, **options
     ) -> CheckpointedRun:
         """Run or resume ``program``; ``options`` are :class:`EngineRun`'s."""
-        if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-            raise SimulationError("the hybrid engine requires NumPy >= 2.0")
         run = EngineRun(self, program, **options)
         graph = program.graph
         n, full, start = run.n, run.full, run.start

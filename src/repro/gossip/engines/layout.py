@@ -33,10 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.topologies.base import Digraph
 

@@ -69,16 +69,12 @@ reuse a stale compilation.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
+import numpy as np
 
 from repro.gossip.engines.base import RoundProgram, iter_set_bits
 from repro.gossip.engines._bitops import (
     WORD_BYTES as _WORD_BYTES,
     compiled_slots as _compiled_slots,
-    numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
@@ -94,7 +90,7 @@ from repro.gossip.engines.layout import (
 from repro.gossip.model import Round
 from repro.topologies.base import Digraph
 
-__all__ = ["VectorizedEngine", "numpy_available"]
+__all__ = ["VectorizedEngine"]
 
 #: Largest batch of rounds executed between two completion checks.
 _BATCH_CAP = 128

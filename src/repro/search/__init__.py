@@ -64,6 +64,22 @@ Choosing a heuristic
   ~150 iterations per instance at n ≤ 16; the benchmark
   (``benchmarks/bench_search.py``) records evaluations/second per engine so
   budgets can be sized from measured throughput.
+
+Telemetry counters
+------------------
+Each walk flushes its counters once, under names declared next to the
+flush:
+
+* ``search.<hill_climb|simulated_annealing>``
+  (``local_search.DRIVER_COUNTERS``): ``runs``, ``iterations``,
+  ``accepts``, ``rejects``, ``evaluations``, ``improvements``;
+* ``search.incremental`` (``objective.INCREMENTAL_COUNTERS``, walks with
+  ``incremental=True``): ``evaluations``, ``memo_hits``,
+  ``bound_rejects``, ``cutoff_truncations``, ``checkpoint_hits``,
+  ``checkpoint_misses``, ``reused_rounds``;
+* ``search.islands`` (``islands.ISLAND_COUNTERS``): ``runs``,
+  ``islands``, ``generations``, ``migrations``, ``island_evaluations``,
+  ``workers``.
 """
 
 from __future__ import annotations

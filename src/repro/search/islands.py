@@ -65,10 +65,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError
@@ -94,7 +91,19 @@ __all__ = [
     "encode_candidate",
     "decode_candidate",
     "run_island_search",
+    "ISLAND_COUNTERS",
 ]
+
+#: ``search.islands`` counter names, in flush order (one flush per
+#: :func:`run_island_search` call).
+ISLAND_COUNTERS = (
+    "runs",
+    "islands",
+    "generations",
+    "migrations",
+    "island_evaluations",
+    "workers",
+)
 
 
 @dataclass(frozen=True)
@@ -254,8 +263,6 @@ def run_island_search(
         raise SimulationError(
             f"at least one generation is required, got {generations}"
         )
-    if np is None:  # pragma: no cover - numpy is a hard dep today
-        raise SimulationError("island search requires NumPy (SeedSequence streams)")
     _t0 = time.perf_counter_ns() if telemetry.get_recorder().enabled else 0
     # The search.islands span id is allocated up front so worker spans can
     # be re-parented under it as reports arrive, before the span itself is

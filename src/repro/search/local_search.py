@@ -39,12 +39,22 @@ from repro.search.objective import (
 )
 from repro.topologies.base import Digraph
 
-__all__ = ["SearchResult", "hill_climb", "simulated_annealing", "synthesize_schedule"]
+__all__ = [
+    "DRIVER_COUNTERS",
+    "SearchResult",
+    "hill_climb",
+    "simulated_annealing",
+    "synthesize_schedule",
+]
 
 _log = logging.getLogger("repro.search")
 
 #: Strategy names accepted by :func:`synthesize_schedule`.
 STRATEGIES = ("hill", "anneal")
+
+#: ``search.<hill_climb|simulated_annealing>`` counter names, in flush order
+#: (one flush per driver walk, in :func:`_finalize`).
+DRIVER_COUNTERS = ("runs", "iterations", "accepts", "rejects", "evaluations", "improvements")
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
 from repro.faults.models import FaultModel
-from repro.faults.montecarlo import (
-    _run_batched,
-    _run_batched_stacked,
-    default_horizon,
-)
+from repro.faults.montecarlo import _run_batched_stacked, default_horizon
 from repro.gossip.engines import SimulationEngine, resolve_engine, supports_checkpointing
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Round, SystolicSchedule
@@ -62,6 +58,7 @@ from repro.topologies.base import Digraph
 
 __all__ = [
     "INCOMPLETE_PENALTY",
+    "INCREMENTAL_COUNTERS",
     "OBJECTIVES",
     "ObjectiveValue",
     "RobustnessSpec",
@@ -71,6 +68,18 @@ __all__ = [
     "evaluate_schedule",
     "evaluate_candidates",
 ]
+
+#: ``search.incremental`` counter names, in flush order
+#: (:meth:`_CachedObjective.stats_counters`).
+INCREMENTAL_COUNTERS = (
+    "evaluations",
+    "memo_hits",
+    "bound_rejects",
+    "cutoff_truncations",
+    "checkpoint_hits",
+    "checkpoint_misses",
+    "reused_rounds",
+)
 
 #: Base score of a schedule that does not complete gossip within its round
 #: budget; any completing schedule scores strictly below this.
@@ -220,67 +229,26 @@ def resolve_objective_engine(
     )
 
 
-def _robust_score(
-    program: RoundProgram,
-    engine: SimulationEngine,
-    spec: RobustnessSpec,
-    result,
-) -> ObjectiveValue:
-    """Mean per-trial cost over the spec's seeded fault sample.
-
-    ``result`` is the candidate's fault-free nominal run.  An incomplete
-    candidate is graded exactly like ``gossip_rounds`` (no trials are spent
-    on it); a completing candidate scores the mean over trials of its
-    completion round, failed trials contributing the horizon plus their
-    missing (vertex, item) pairs so that likelier-to-complete candidates
-    always sort ahead.  The trials always run through the batched
-    Monte-Carlo kernel (the looped per-engine path replays the identical
-    realisation, so the score is engine-independent regardless).
-    """
-    n = program.graph.n
-    if result.completion_round is None:
-        return ObjectiveValue(_incomplete_score(result, n), False, None, engine.name)
-    nominal = result.completion_round
-    horizon = _robust_horizon(program, spec, nominal)
-    sample = spec.model.sample(program, horizon, spec.trials, seed=spec.seed)
-    completion, knowledge = _run_batched(program, sample)
-    score = _robust_mean_cost(n, horizon, completion, knowledge, spec.trials)
-    return ObjectiveValue(score, True, nominal, engine.name)
-
-
-def _robust_horizon(program: RoundProgram, spec: RobustnessSpec, nominal: int) -> int:
-    horizon = default_horizon(nominal, len(program.rounds), spec.horizon_factor)
-    if not program.cyclic:
-        # A finite program has no rounds beyond its own length to grant.
-        horizon = min(horizon, len(program.rounds))
-    return horizon
-
-
-def _robust_mean_cost(n, horizon, completion, knowledge, trials) -> float:
-    total = 0.0
-    for rounds, bits in zip(completion, knowledge):
-        if rounds is not None:
-            total += rounds
-        else:
-            missing = n * n - sum(value.bit_count() for value in bits)
-            total += horizon + missing
-    return total / trials
-
-
 def _robust_scores_stacked(
     programs: list[RoundProgram],
     results: list,
     engine: SimulationEngine,
     spec: RobustnessSpec,
 ) -> list[ObjectiveValue]:
-    """Batched :func:`_robust_score` over one candidate set.
+    """Robust scores of one candidate set: mean per-trial cost over the
+    spec's seeded fault sample.
 
-    Incomplete candidates are graded without spending trials, exactly as
-    the per-candidate path; the completing ones run their trials through
-    the candidate-stacked Monte-Carlo kernel in one invocation.  Horizons
-    and fault samples are derived per candidate from the shared spec, so
-    every score is bit-identical to :func:`_robust_score` on that
-    candidate alone.
+    ``results`` are the candidates' fault-free nominal runs.  An incomplete
+    candidate is graded exactly like ``gossip_rounds`` (no trials are spent
+    on it); a completing candidate scores the mean over trials of its
+    completion round, failed trials contributing the horizon plus their
+    missing (vertex, item) pairs so that likelier-to-complete candidates
+    always sort ahead.  The completing candidates' trials run through the
+    Monte-Carlo tensor kernel in one invocation (the looped per-engine path
+    replays the identical realisation, so scores are engine-independent).
+    Horizons and fault samples are derived per candidate from the shared
+    spec, so every score is the same whether the candidate is scored alone
+    or in a set.
     """
     values: list[ObjectiveValue | None] = [None] * len(programs)
     stacked: list[tuple[int, RoundProgram, int, int]] = []
@@ -292,7 +260,10 @@ def _robust_scores_stacked(
             )
             continue
         nominal = result.completion_round
-        horizon = _robust_horizon(program, spec, nominal)
+        horizon = default_horizon(nominal, len(program.rounds), spec.horizon_factor)
+        if not program.cyclic:
+            # A finite program has no rounds beyond its own length to grant.
+            horizon = min(horizon, len(program.rounds))
         stacked.append((i, program, nominal, horizon))
         samples.append(spec.model.sample(program, horizon, spec.trials, seed=spec.seed))
     if stacked:
@@ -300,10 +271,14 @@ def _robust_scores_stacked(
         for (i, program, nominal, horizon), (completion, knowledge) in zip(
             stacked, outcomes
         ):
-            score = _robust_mean_cost(
-                program.graph.n, horizon, completion, knowledge, spec.trials
-            )
-            values[i] = ObjectiveValue(score, True, nominal, engine.name)
+            n = program.graph.n
+            total = 0.0
+            for rounds, bits in zip(completion, knowledge):
+                if rounds is not None:
+                    total += rounds
+                else:
+                    total += horizon + n * n - sum(value.bit_count() for value in bits)
+            values[i] = ObjectiveValue(total / spec.trials, True, nominal, engine.name)
     return values
 
 
@@ -330,7 +305,7 @@ def _score_result(
             float(result.completion_round), True, result.completion_round, engine.name
         )
     if objective == "robust_gossip_rounds":
-        return _robust_score(program, engine, robustness, result)
+        return _robust_scores_stacked([program], [result], engine, robustness)[0]
     times = result.item_completion_rounds
     assert times is not None
     if result.completion_round is None:

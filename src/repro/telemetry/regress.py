@@ -20,11 +20,14 @@ that single outlier days cannot drag — and classifies what moved:
     work got slower/faster, which usually means environment noise or a
     creeping code-path cost.  Warning only.
 
-Inputs are either ``BENCH_trajectory.json`` rows (the committable JSON
-written by ``benchmarks/record_trajectory.py``; pre-ledger rows without
-per-section counters are analysed on timings alone) or the sqlite run
-ledger (:mod:`repro.telemetry.ledger`).  Run as a module for the CI
-gate::
+The input is ``BENCH_trajectory.json``, the one perf store: the
+committable JSON list written by ``benchmarks/record_trajectory.py``, one
+row per recording date with the ``rev`` and, per section, ``seconds``,
+``counters`` and ``histograms`` (older rows without per-section counters
+are analysed on timings alone).  ``repro-gossip report`` and
+``repro-gossip compare`` read the same rows through
+:func:`load_trajectory` and :func:`trajectory_observations`.  Run as a
+module for the CI gate::
 
     python -m repro.telemetry.regress --check BENCH_trajectory.json
 
@@ -42,8 +45,6 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Any, Mapping, Sequence
 
-from repro.telemetry.ledger import Ledger
-
 __all__ = [
     "COUNTER_THRESHOLD",
     "Finding",
@@ -51,9 +52,9 @@ __all__ = [
     "TIMING_NOISE",
     "TIMING_THRESHOLD",
     "WINDOW",
-    "analyze_ledger",
     "analyze_sections",
     "analyze_trajectory",
+    "load_trajectory",
     "trajectory_observations",
     "main",
 ]
@@ -253,33 +254,20 @@ def analyze_trajectory(
     )
 
 
-def ledger_observations(
-    ledger: Ledger, *, section: str | None = None
-) -> dict[str, list[Observation]]:
-    """Per-section observation series read back from the run ledger."""
-    sections: dict[str, list[Observation]] = {}
-    for row in ledger.runs(section=section):
-        sections.setdefault(row.section, []).append(
-            Observation(
-                date=row.date, rev=row.rev, seconds=row.seconds, counters=row.counters
-            )
-        )
-    return sections
+def load_trajectory(path: str) -> list[Mapping[str, Any]]:
+    """The rows of the trajectory file at ``path``; a missing file has none.
 
-
-def analyze_ledger(
-    ledger: Ledger,
-    *,
-    section: str | None = None,
-    window: int = WINDOW,
-    timing_threshold: float = TIMING_THRESHOLD,
-) -> list[Finding]:
-    """Findings over the ledger's history (optionally one section)."""
-    return analyze_sections(
-        ledger_observations(ledger, section=section),
-        window=window,
-        timing_threshold=timing_threshold,
-    )
+    Raises :class:`ValueError` (``json.JSONDecodeError`` included) when the
+    file is not a JSON list.  Never writes.
+    """
+    try:
+        with open(path) as handle:
+            rows = json.load(handle)
+    except FileNotFoundError:
+        return []
+    if not isinstance(rows, list):
+        raise ValueError(f"{path} does not hold a JSON list of trajectory rows")
+    return rows
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -290,12 +278,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         metavar="TRAJECTORY_JSON",
+        required=True,
         help="trajectory file to analyse; exit 1 on a timing regression",
-    )
-    parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="analyse the sqlite run ledger at PATH instead of a JSON file",
     )
     parser.add_argument(
         "--window", type=int, default=WINDOW, help="baseline median window"
@@ -307,20 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="timing ratio that counts as a regression",
     )
     args = parser.parse_args(argv)
-    if bool(args.check) == bool(args.ledger):
-        parser.error("exactly one of --check or --ledger is required")
-
-    if args.check:
-        with open(args.check) as handle:
-            rows = json.load(handle)
-        findings = analyze_trajectory(
-            rows, window=args.window, timing_threshold=args.threshold
-        )
-    else:
-        with Ledger(args.ledger, read_only=True) as ledger:
-            findings = analyze_ledger(
-                ledger, window=args.window, timing_threshold=args.threshold
-            )
+    with open(args.check) as handle:
+        rows = json.load(handle)
+    findings = analyze_trajectory(rows, window=args.window, timing_threshold=args.threshold)
 
     if not findings:
         print("regress: no anomalies detected")

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,9 +185,21 @@ class TestRootSolving:
         with pytest.raises(BoundComputationError):
             solve_unit_root(lambda x: 2.0 + x)  # already above 1
 
-    def test_fallback_bisection_agrees_with_brent(self):
-        lam_brent = solve_unit_root(lambda x: half_duplex_norm_bound(4, x))
-        lam_bisect = bisection_root(
-            lambda x: half_duplex_norm_bound(4, x) - 1.0, 1e-12, 1 - 1e-12
+    def test_bounds_solve_without_scipy(self):
+        # One pure-Python root path on every machine: a Fig. 4 and a Fig. 5
+        # bound never import scipy, even where it is installed.
+        code = (
+            "import sys\n"
+            "from repro.experiments.fig4 import fig4_table\n"
+            "from repro.experiments.fig5 import fig5_table\n"
+            "fig4_table(periods=(4,))\n"
+            "fig5_table(families=('BF',), degrees=(2,), periods=(4,))\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
-        assert lam_brent == pytest.approx(lam_bisect, abs=1e-9)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
@@ -18,7 +19,6 @@ from repro.gossip.engines import (
     resolve_engine,
 )
 from repro.gossip.engines.base import RoundProgram
-from repro.gossip.engines.vectorized import numpy_available
 from repro.gossip.model import Mode
 from repro.gossip.simulation import gossip_time, simulate_systolic
 from repro.protocols.generic import coloring_systolic_schedule
@@ -27,7 +27,7 @@ from repro.topologies.classic import cycle_graph
 
 class TestEngineRegistry:
     def test_both_builtin_engines_registered(self):
-        assert numpy_available(), "NumPy is a hard dependency of this repo"
+        assert hasattr(np, "bitwise_count"), "NumPy >= 2.0 is a hard dependency"
         assert set(available_engines()) >= {"reference", "vectorized"}
 
     def test_auto_selects_vectorized_never_silently_falls_back(self, monkeypatch):

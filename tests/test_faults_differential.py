@@ -127,14 +127,16 @@ def _stacked_candidates():
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_stacked_matches_per_schedule_bit_for_bit(model):
-    """Every stacked candidate equals its standalone monte_carlo call —
+    """Every stacked candidate equals its looped reference-engine replay —
     same horizons, completion rounds and final knowledge, not merely the
     same statistics."""
     candidates = _stacked_candidates()
     stacked = monte_carlo_stacked(candidates, model, trials=6, seed=17)
     assert len(stacked) == len(candidates)
     for candidate, got in zip(candidates, stacked):
-        solo = monte_carlo(candidate, model, trials=6, seed=17)
+        solo = monte_carlo(
+            candidate, model, trials=6, seed=17, method="looped", engine="reference"
+        )
         assert got.engine_name == "montecarlo-stacked"
         assert got.horizon == solo.horizon
         assert got.nominal_rounds == solo.nominal_rounds
