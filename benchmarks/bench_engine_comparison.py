@@ -1,8 +1,8 @@
 """Benchmark ENGINES — reference vs. vectorized vs. frontier vs. hybrid.
 
 Three headline comparisons, all recorded in the session report (and, when
-``BENCH_JSON`` points at a file, dumped as JSON so CI can archive the
-timing trajectory):
+``BENCH_JSON`` points at a file, dumped as JSON so the weekly CI perf job
+can upload the timing table):
 
 * **vectorized vs. reference** (kept from PR 1): plain systolic cycle
   gossip on ``C(2048)``; the packed-bitset kernel must stay ≥5× faster

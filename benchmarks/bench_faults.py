@@ -2,7 +2,7 @@
 
 Two views of the :mod:`repro.faults` subsystem, recorded in the session
 report (and, when ``BENCH_FAULTS_JSON`` points at a file, dumped as JSON so
-CI can archive the trajectory alongside the engine and search timings):
+CI can upload it alongside the engine and search timings):
 
 * **speedup** — the acceptance gate: the batched ``(n, trials, W)`` tensor
   kernel must beat ``trials`` independent single-run simulations (the

@@ -2,7 +2,7 @@
 
 Two views of the :mod:`repro.search` subsystem, both recorded in the
 session report (and, when ``BENCH_SEARCH_JSON`` points at a file, dumped as
-JSON so CI can archive the trajectory alongside the engine timings):
+JSON so CI can upload it alongside the engine timings):
 
 * **quality** — the full synthesize-and-certify pipeline on one instance
   per topology family: edge-colouring baseline vs. synthesized rounds vs.

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -54,6 +55,10 @@ from repro.experiments.fig6 import fig6_table
 from repro.experiments.fig8 import fig8_table
 from repro.experiments.runner import (
     BROADCAST_COLUMNS,
+    FIG4_COLUMNS,
+    FIG5_COLUMNS,
+    FIG6_COLUMNS,
+    FIG8_COLUMNS,
     SEARCH_GAP_COLUMNS,
     format_table,
     run_all,
@@ -266,28 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also convert the trace to Chrome trace-event JSON "
         "(loadable in Perfetto / chrome://tracing)",
     )
-    report = sub.add_parser(
-        "report", help="summarise the perf trajectory and flag perf anomalies"
-    )
-    report.add_argument(
-        "--section", default=None, help="restrict to one benchmark section"
-    )
-    report.add_argument(
-        "--last",
-        type=_positive,
-        default=5,
-        help="recorded runs to show per section (default 5)",
-    )
-    _add_trajectory_flag(report)
-    compare = sub.add_parser(
-        "compare", help="compare two recorded revisions in the perf trajectory"
-    )
-    compare.add_argument("rev1", help="baseline revision (as recorded in the trajectory)")
-    compare.add_argument("rev2", help="revision to compare against the baseline")
-    compare.add_argument(
-        "--section", default=None, help="restrict to one benchmark section"
-    )
-    _add_trajectory_flag(compare)
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
     return parser
@@ -342,17 +325,6 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=(AUTO_ENGINE, *available_engines()),
         default=AUTO_ENGINE,
         help="simulation engine to use (default: auto)",
-    )
-
-
-def _add_trajectory_flag(parser: argparse.ArgumentParser) -> None:
-    """``--trajectory``: the perf-trajectory JSON that ``report``/``compare`` read."""
-    parser.add_argument(
-        "--trajectory",
-        metavar="PATH",
-        default=telemetry.DEFAULT_TRAJECTORY,
-        help="trajectory file written by benchmarks/record_trajectory.py "
-        f"(default: {telemetry.DEFAULT_TRAJECTORY})",
     )
 
 
@@ -567,102 +539,11 @@ def _run_stats(args: argparse.Namespace) -> int:
         return 1
     print(stats.format_table())
     if args.chrome is not None:
-        count = write_chrome_trace(args.trace_path, args.chrome)
+        try:
+            count = write_chrome_trace(args.trace_path, args.chrome)
+        except OSError as exc:
+            return _usage_error(f"cannot write Chrome trace: {exc}")
         print(f"wrote {count} Chrome trace event(s) to {args.chrome}")
-    return 0
-
-
-def _load_observations(path: str):
-    """``(rows, per-section observations)`` of a trajectory, or ``None``
-    after printing the error when the file cannot be read."""
-    from repro.telemetry.regress import load_trajectory, trajectory_observations
-
-    try:
-        rows = load_trajectory(path)
-    except (OSError, ValueError) as exc:
-        print(f"trajectory error: {exc}", file=sys.stderr)
-        return None
-    return rows, trajectory_observations(rows)
-
-
-def _run_report(args: argparse.Namespace) -> int:
-    """The ``report`` subcommand: per-section trajectory history + anomalies."""
-    from repro.telemetry.regress import analyze_sections
-
-    loaded = _load_observations(args.trajectory)
-    if loaded is None:
-        return 1
-    _, observations = loaded
-    sections = [args.section] if args.section is not None else sorted(observations)
-    if not sections:
-        print(f"trajectory {args.trajectory}: no recorded runs yet")
-        return 0
-    for name in sections:
-        series = observations.get(name, [])[-args.last :]
-        if not series:
-            print(f"section {name}: no recorded runs")
-            continue
-        print(f"section {name}")
-        print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
-        for obs in series:
-            seconds = "-" if obs.seconds is None else f"{obs.seconds:.4f}"
-            print(f"  {obs.date:<12}{obs.rev:<12}{seconds:>10}  {len(obs.counters)}")
-        print()
-    findings = analyze_sections(
-        {name: observations[name] for name in sections if name in observations}
-    )
-    if findings:
-        for finding in findings:
-            print(finding.format())
-    else:
-        print("no anomalies detected")
-    return 0
-
-
-def _run_compare(args: argparse.Namespace) -> int:
-    """The ``compare`` subcommand: latest rows of two revisions, side by side."""
-    from repro.telemetry.regress import COUNTER_THRESHOLD
-
-    loaded = _load_observations(args.trajectory)
-    if loaded is None:
-        return 1
-    rows, observations = loaded
-    known = list(dict.fromkeys(row.get("rev", "?") for row in rows))
-    for rev in (args.rev1, args.rev2):
-        if rev not in known:
-            print(
-                f"revision {rev!r} has no recorded runs in {args.trajectory}"
-                + (f" (known: {', '.join(known)})" if known else " (empty trajectory)"),
-                file=sys.stderr,
-            )
-            return 1
-    sections = [args.section] if args.section is not None else sorted(observations)
-    compared = 0
-    for name in sections:
-        series = observations.get(name, [])
-        lefts = [obs for obs in series if obs.rev == args.rev1]
-        rights = [obs for obs in series if obs.rev == args.rev2]
-        if not lefts or not rights:
-            continue
-        left, right = lefts[-1], rights[-1]
-        compared += 1
-        print(f"section {name}")
-        if left.seconds and right.seconds:
-            ratio = right.seconds / left.seconds
-            print(f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}  ({ratio:.2f}x)")
-        for counter in sorted(set(left.counters) & set(right.counters)):
-            before, after = left.counters[counter], right.counters[counter]
-            if before and after and (
-                after / before > COUNTER_THRESHOLD or before / after > COUNTER_THRESHOLD
-            ):
-                print(f"  {counter}: {before} -> {after}  ({after / before:.2f}x)")
-        print()
-    if not compared:
-        print(
-            f"no section recorded under both {args.rev1!r} and {args.rev2!r}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -681,21 +562,40 @@ def _configure_logging(args: argparse.Namespace) -> None:
     )
 
 
+def _usage_error(message: str) -> int:
+    """Print one ``repro-gossip: error:`` line; the exit code for bad input."""
+    print(f"repro-gossip: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro-gossip all | head -1``): stop
+        # quietly, and point stdout at devnull so the interpreter's final
+        # flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
+    """Parse ``argv`` and run one subcommand; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _configure_logging(args)
     if args.command == "stats":
         return _run_stats(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "compare":
-        return _run_compare(args)
 
     trace_path = args.trace or telemetry.trace_path_from_env()
     wants_metrics = getattr(args, "metrics", False)
     if trace_path is not None:
-        recorder: telemetry.Recorder | None = telemetry.JsonlRecorder(trace_path)
+        try:
+            recorder: telemetry.Recorder | None = telemetry.JsonlRecorder(trace_path)
+        except OSError as exc:
+            return _usage_error(f"cannot write trace: {exc}")
     elif wants_metrics:
         recorder = telemetry.StatsRecorder()
     else:
@@ -709,8 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with telemetry.span("cli.command", command=args.command):
                 code = _dispatch(args)
     except ReproError as exc:
-        print(f"repro-gossip: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     if wants_metrics and recorder.stats is not None:
         print(recorder.stats.format_table())
     return code
@@ -721,56 +620,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
 
     if command == "fig4":
-        print(
-            format_table(
-                fig4_table(),
-                ["period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation"],
-            )
-        )
+        print(format_table(fig4_table(), FIG4_COLUMNS))
     elif command == "fig5":
-        print(
-            format_table(
-                fig5_table(),
-                [
-                    "family",
-                    "degree",
-                    "period",
-                    "coefficient",
-                    "general_coefficient",
-                    "improves_on_general",
-                    "paper_coefficient",
-                ],
-            )
-        )
+        print(format_table(fig5_table(), FIG5_COLUMNS))
     elif command == "fig6":
-        print(
-            format_table(
-                fig6_table(),
-                [
-                    "family",
-                    "degree",
-                    "coefficient",
-                    "general_coefficient",
-                    "diameter_coefficient",
-                    "improves_on_general",
-                    "paper_coefficient",
-                ],
-            )
-        )
+        print(format_table(fig6_table(), FIG6_COLUMNS))
     elif command == "fig8":
-        print(
-            format_table(
-                fig8_table(),
-                [
-                    "family",
-                    "degree",
-                    "period_label",
-                    "coefficient",
-                    "general_coefficient",
-                    "improves_on_general",
-                ],
-            )
-        )
+        print(format_table(fig8_table(), FIG8_COLUMNS))
     elif command == "structure":
         report = structure_report()
         print(f"local protocol {report.local_protocol.activation_word()}  λ = {report.lam}")

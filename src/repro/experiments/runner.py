@@ -25,22 +25,43 @@ __all__ = [
     "format_table",
     "format_value",
     "run_all",
-    "EXPERIMENT_NAMES",
+    "FIG4_COLUMNS",
+    "FIG5_COLUMNS",
+    "FIG6_COLUMNS",
+    "FIG8_COLUMNS",
     "BROADCAST_COLUMNS",
     "SEARCH_GAP_COLUMNS",
     "ROBUSTNESS_COLUMNS",
 ]
 
-EXPERIMENT_NAMES = (
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "structure",
-    "sandwich",
-    "broadcast",
-    "search",
-    "robustness",
+#: Column order of the Fig. 4/5/6/8 tables, shared by run_all and the CLI's
+#: ``fig4``/``fig5``/``fig6``/``fig8`` commands.
+FIG4_COLUMNS = ("period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation")
+FIG5_COLUMNS = (
+    "family",
+    "degree",
+    "period",
+    "coefficient",
+    "general_coefficient",
+    "improves_on_general",
+    "paper_coefficient",
+)
+FIG6_COLUMNS = (
+    "family",
+    "degree",
+    "coefficient",
+    "general_coefficient",
+    "diameter_coefficient",
+    "improves_on_general",
+    "paper_coefficient",
+)
+FIG8_COLUMNS = (
+    "family",
+    "degree",
+    "period_label",
+    "coefficient",
+    "general_coefficient",
+    "improves_on_general",
 )
 
 #: Column order of the broadcast-sweep table in run_all; the CLI's
@@ -120,59 +141,16 @@ def run_all(*, include_sandwich: bool = True, engine: str = "auto") -> str:
     sections: list[str] = []
 
     sections.append("== FIG4: general systolic lower bound ==")
-    sections.append(
-        format_table(
-            fig4_table(),
-            ["period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation"],
-        )
-    )
+    sections.append(format_table(fig4_table(), FIG4_COLUMNS))
 
     sections.append("\n== FIG5: separator-refined systolic bounds (half-duplex) ==")
-    sections.append(
-        format_table(
-            fig5_table(),
-            [
-                "family",
-                "degree",
-                "period",
-                "coefficient",
-                "general_coefficient",
-                "improves_on_general",
-                "paper_coefficient",
-            ],
-        )
-    )
+    sections.append(format_table(fig5_table(), FIG5_COLUMNS))
 
     sections.append("\n== FIG6: non-systolic bounds (half-duplex) ==")
-    sections.append(
-        format_table(
-            fig6_table(),
-            [
-                "family",
-                "degree",
-                "coefficient",
-                "general_coefficient",
-                "diameter_coefficient",
-                "improves_on_general",
-                "paper_coefficient",
-            ],
-        )
-    )
+    sections.append(format_table(fig6_table(), FIG6_COLUMNS))
 
     sections.append("\n== FIG8: full-duplex bounds ==")
-    sections.append(
-        format_table(
-            fig8_table(),
-            [
-                "family",
-                "degree",
-                "period_label",
-                "coefficient",
-                "general_coefficient",
-                "improves_on_general",
-            ],
-        )
-    )
+    sections.append(format_table(fig8_table(), FIG8_COLUMNS))
 
     sections.append("\n== FIG1-3/7: delay-matrix structure ==")
     report = structure_report()

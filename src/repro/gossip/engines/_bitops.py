@@ -32,7 +32,6 @@ __all__ = [
     "unpack_words",
     "unpack_rows",
     "popcount_total",
-    "unpack_bits",
     "set_bit_positions",
     "expand_delta_words",
     "HeadGroups",
@@ -91,16 +90,6 @@ def unpack_rows(matrix: np.ndarray) -> tuple[int, ...]:
 def popcount_total(matrix: np.ndarray) -> int:
     """Total number of set bits in the knowledge matrix."""
     return int(np.bitwise_count(matrix).sum())
-
-
-def unpack_bits(matrix: np.ndarray) -> np.ndarray:
-    """Expand a packed ``(rows, W) uint64`` matrix into ``(rows, W·64)`` bits."""
-    rows, words = matrix.shape
-    return np.unpackbits(
-        np.ascontiguousarray(matrix, dtype="<u8").view(np.uint8).reshape(rows, words * WORD_BYTES),
-        axis=1,
-        bitorder="little",
-    )
 
 
 def set_bit_positions(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,8 @@ disabled telemetry near-free.  See :mod:`repro.telemetry.core` for the
 overhead contract and the shared bucket layout, :mod:`repro.telemetry.sinks`
 for the JSONL stream format (schema ``repro-telemetry/2``),
 :mod:`repro.telemetry.trace` for validation / summaries / the Chrome
-trace-event exporter, and :mod:`repro.telemetry.regress` for the
-trailing-median perf-regression detector over ``BENCH_trajectory.json``
-(the one perf store; ``repro-gossip report`` / ``compare`` read it too).
+trace-event exporter.  Performance is measured and gated by the repository
+benchmark (``perfbench/``), not by this package.
 
 Quick start::
 
@@ -76,10 +75,6 @@ from repro.telemetry.trace import (
 #: Environment variable naming a JSONL trace path (CLI fallback for --trace).
 TRACE_ENV_VAR = "REPRO_TRACE"
 
-#: The perf trajectory ``benchmarks/record_trajectory.py`` appends to and
-#: ``report`` / ``compare`` / :mod:`repro.telemetry.regress` read.
-DEFAULT_TRAJECTORY = "BENCH_trajectory.json"
-
 
 def trace_path_from_env() -> str | None:
     """The ``REPRO_TRACE`` trace destination, if configured and non-empty."""
@@ -88,7 +83,6 @@ def trace_path_from_env() -> str | None:
 
 
 __all__ = [
-    "DEFAULT_TRAJECTORY",
     "EVENT_TYPES",
     "EventRecord",
     "FLUSH_POLICIES",

@@ -14,11 +14,24 @@ from repro.experiments.reference import (
     TEXT_QUOTED_HALF_DUPLEX_NONSYSTOLIC,
     TEXT_QUOTED_HALF_DUPLEX_SYSTOLIC,
 )
-from repro.experiments.runner import format_table, format_value, run_all
+from repro.experiments.runner import (
+    FIG4_COLUMNS,
+    FIG5_COLUMNS,
+    FIG6_COLUMNS,
+    FIG8_COLUMNS,
+    format_table,
+    format_value,
+    run_all,
+)
 from repro.experiments.sandwich import default_instances, sandwich_row, sandwich_table
 from repro.experiments.structure import render_matrix, structure_report
 from repro.gossip.model import Mode
 from repro.protocols.cycle import cycle_systolic_schedule
+
+
+@pytest.fixture(scope="module")
+def run_all_report():
+    return run_all(include_sandwich=False)
 
 
 class TestFig4:
@@ -211,13 +224,41 @@ class TestRunnerAndCli:
         with pytest.raises(TypeError):
             format_table([object()])
 
-    def test_run_all_without_sandwich(self):
-        report = run_all(include_sandwich=False)
-        assert "FIG4" in report
-        assert "FIG5" in report
-        assert "FIG6" in report
-        assert "FIG8" in report
-        assert "2.8808" in report
+    def test_run_all_without_sandwich(self, run_all_report):
+        assert "FIG4" in run_all_report
+        assert "FIG5" in run_all_report
+        assert "FIG6" in run_all_report
+        assert "FIG8" in run_all_report
+        assert "2.8808" in run_all_report
+
+    @pytest.mark.parametrize("command", ["fig4", "fig5", "fig6", "fig8"])
+    def test_cli_figure_table_is_the_run_all_block(self, command, run_all_report, capsys):
+        lines = run_all_report.splitlines()
+        header = f"== {command.upper()}:"
+        start = 1 + next(i for i, line in enumerate(lines) if line.startswith(header))
+        block = lines[start : lines.index("", start)]
+        assert main([command]) == 0
+        assert capsys.readouterr().out == "\n".join(block) + "\n"
+
+    @pytest.mark.parametrize(
+        ("table", "columns"),
+        [
+            (fig4_table, FIG4_COLUMNS),
+            (fig5_table, FIG5_COLUMNS),
+            (fig6_table, FIG6_COLUMNS),
+            (fig8_table, FIG8_COLUMNS),
+        ],
+        ids=["fig4", "fig5", "fig6", "fig8"],
+    )
+    def test_figure_columns_name_row_fields(self, table, columns):
+        # format_table renders an unknown column as blanks, so a misspelt
+        # name would not fail loudly anywhere else.  Columns may be fields
+        # or computed properties of the row dataclass.
+        rows = table()
+        assert rows
+        for row in rows:
+            assert [column for column in columns if not hasattr(row, column)] == []
+        assert len(set(columns)) == len(columns)
 
     @pytest.mark.parametrize("command", ["fig4", "fig5", "fig6", "fig8", "structure", "broadcast"])
     def test_cli_commands(self, command, capsys):
